@@ -266,8 +266,9 @@ class Allocation:
 
     def require_full(self, m: int) -> None:
         items = self.allocated()
-        if not items <= set(range(m)):
-            raise InputError(f"allocation: unknown item index {max(items)}")
+        unknown = sorted(items - set(range(m)))
+        if unknown:
+            raise InputError(f"allocation: unknown item index {unknown[0]}")
         if items != set(range(m)):
             missing = sorted(set(range(m)) - items)
             raise InputError(f"allocation: items {missing} unallocated")

@@ -26,7 +26,7 @@ from .core import (
     rat_from_str,
     rat_to_str,
 )
-from .lp import simplex_max
+from .lp import ColumnLP
 
 
 def _check_budget(b: Rat) -> Rat:
@@ -97,59 +97,60 @@ def unit_demand_aps(item_values: Sequence[int], b: Rat) -> int:
 # Knapsack primitives shared by the APS machinery and the certificate checks.
 
 
-def _knapsack_table(values: Sequence[int], prices: Sequence[Rat]) -> tuple[list[Rat | None], list[int], int]:
+def _knapsack_table(values: Sequence[int], prices: Sequence[Rat]) -> tuple[list[int], list[int], int, int]:
     """cost[w] = min price of a subset of positive-value items of total value
-    exactly w; mask[w] recovers one minimizer. Table size is guarded."""
+    exactly w, in units of 1/scale; mask[w] recovers one minimizer. Table
+    size is guarded.
+
+    The DP runs on Python ints: every price is scaled by `scale`, the lcm of
+    the price denominators, so it stays exact without rebuilding a Fraction
+    per cell. An unreachable w holds a cost above every reachable one; the
+    whole positive-value set reaches w = total, so cost[total] is the largest
+    reachable cost.
+    """
     pos = [(j, values[j]) for j in range(len(values)) if values[j] > 0]
     total = sum(v for _, v in pos)
     limit = guard_limit()
     if total > limit:
         raise GuardError("knapsack-value", limit, total)
-    cost: list[Rat | None] = [None] * (total + 1)
+    scale = math.lcm(*(prices[j].denominator for j, _ in pos))
+    scaled = [(j, v, prices[j].numerator * (scale // prices[j].denominator)) for j, v in pos]
+    unreachable = sum(p for _, _, p in scaled) + 1
+    cost = [unreachable] * (total + 1)
     mask = [0] * (total + 1)
-    cost[0] = Rat(0)
-    for j, v in pos:
-        p = prices[j]
-        for w in range(total, v - 1, -1):
-            base = cost[w - v]
-            if base is None:
-                continue
-            cand = base + p
-            if cost[w] is None or cand < cost[w]:
+    cost[0] = 0
+    reach = 0
+    for j, v, p in scaled:
+        bit = 1 << j
+        reach += v
+        for w in range(reach, v - 1, -1):
+            cand = cost[w - v] + p
+            if cand < cost[w]:
                 cost[w] = cand
-                mask[w] = mask[w - v] | (1 << j)
-    return cost, mask, total
+                mask[w] = mask[w - v] | bit
+    return cost, mask, total, scale
 
 
 def _min_price_reaching(
     values: Sequence[int], prices: Sequence[Rat], target: int
-) -> tuple[Rat, frozenset[int]] | None:
-    """Cheapest subset with value >= target, or None if no subset reaches it."""
+) -> tuple[Rat, frozenset[int], int] | None:
+    """Cheapest subset with value >= target, as (price, subset, value), or
+    None if no subset reaches it."""
     if target <= 0:
-        return Rat(0), frozenset()
-    cost, mask, total = _knapsack_table(values, prices)
-    best_w = -1
-    best: Rat | None = None
-    for w in range(target, total + 1):
-        c = cost[w]
-        if c is not None and (best is None or c < best):
-            best = c
-            best_w = w
-    if best is None:
+        return Rat(0), frozenset(), 0
+    cost, mask, total, scale = _knapsack_table(values, prices)
+    if target > total:
         return None
+    best_w = min(range(target, total + 1), key=cost.__getitem__)
     chosen = frozenset(j for j in range(len(values)) if mask[best_w] >> j & 1)
-    return best, chosen
+    return Rat(cost[best_w], scale), chosen, best_w
 
 
 def _max_affordable_value(values: Sequence[int], prices: Sequence[Rat], budget: Rat) -> int:
     """Highest subset value purchasable within the budget."""
-    cost, _, total = _knapsack_table(values, prices)
-    best = 0
-    for w in range(total + 1):
-        c = cost[w]
-        if c is not None and c <= budget and w > best:
-            best = w
-    return best
+    cost, _, total, scale = _knapsack_table(values, prices)
+    cap = min(math.floor(budget * scale), cost[total])
+    return max((w for w in range(total + 1) if cost[w] <= cap), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +347,24 @@ def wmms_exact(entitlements: Sequence[Rat], i: int, valuation: Valuation) -> Rat
 # AnyPrice share with certificates.
 
 
+def _json_field(doc: dict, key: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise InputError(f"{key}: missing")
+    return doc[key]
+
+
+def _json_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{path}: expected an array, got {value!r}")
+    return value
+
+
+def _json_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PriceCertificate:
     """Upper-bound certificate: non-negative prices summing to at most 1 under
@@ -364,8 +383,10 @@ class PriceCertificate:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "PriceCertificate":
-        prices = tuple(rat_from_str(s, f"prices[{j}]") for j, s in enumerate(doc["prices"]))
-        return PriceCertificate(prices, rat_from_str(doc["budget"], "budget"), int(doc["value_bound"]))
+        raw = _json_list(_json_field(doc, "prices"), "prices")
+        prices = tuple(rat_from_str(s, f"prices[{j}]") for j, s in enumerate(raw))
+        budget = rat_from_str(_json_field(doc, "budget"), "budget")
+        return PriceCertificate(prices, budget, _json_int(_json_field(doc, "value_bound"), "value_bound"))
 
 
 @dataclass(frozen=True)
@@ -386,9 +407,13 @@ class BundleWitness:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "BundleWitness":
-        sets = tuple(tuple(sorted(int(j) for j in s)) for s in doc["sets"])
-        weights = tuple(rat_from_str(s, f"weights[{j}]") for j, s in enumerate(doc["weights"]))
-        return BundleWitness(sets, weights, int(doc["value_floor"]))
+        sets = tuple(
+            tuple(sorted(_json_int(j, f"sets[{k}][{i}]") for i, j in enumerate(_json_list(s, f"sets[{k}]"))))
+            for k, s in enumerate(_json_list(_json_field(doc, "sets"), "sets"))
+        )
+        raw = _json_list(_json_field(doc, "weights"), "weights")
+        weights = tuple(rat_from_str(s, f"weights[{j}]") for j, s in enumerate(raw))
+        return BundleWitness(sets, weights, _json_int(_json_field(doc, "value_floor"), "value_floor"))
 
 
 class ApsResult(NamedTuple):
@@ -429,43 +454,74 @@ def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bo
     return all(c <= b for c in coverage)
 
 
-def _threshold_price_lp(values: Sequence[int], b: Rat, t: int) -> tuple[Rat, list[Rat]]:
+class _ThresholdLP(NamedTuple):
+    opt: Rat
+    prices: list[Rat]
+    packing: list[tuple[frozenset[int], Rat]]
+
+
+def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozenset[int], int]) -> _ThresholdLP:
     """min sum(p) s.t. p(S) >= b for every S with v(S) >= t, p >= 0.
 
-    Solved by cutting planes: the dual (a fractional covering problem over the
-    current cut family) is solved exactly, and the knapsack separation oracle
-    either finds a violated bundle or proves feasibility of the dual prices.
+    Solved through its dual, the paper's max-definition scaled by b: pack
+    bundles of value >= t with weights lam, each item covered at most once,
+    maximizing b * sum(lam). One `ColumnLP` (unit costs, so the prices are
+    b times its duals) is warm-started column by column: every pooled bundle
+    worth at least t seeds it, then the knapsack separation oracle adds the
+    cheapest bundle of value >= t while one costs less than b under the
+    current prices. Every bundle found joins `pool` with its value.
+
+    Returns (opt, prices, packing), packing being the bundles of positive
+    weight. opt < 1 is exact, and the prices prove APS < t. opt >= 1 may
+    stop early on a restricted column set: its packing already proves
+    APS >= t.
     """
-    assert t >= 1, "threshold LP is only queried at positive thresholds"
+    if t < 1:
+        raise AssertionError(f"threshold LP is only queried at positive thresholds, got {t}")
     m = len(values)
-    prices: list[Rat] = [Rat(0)] * m
-    opt = Rat(0)
-    cuts: list[frozenset[int]] = []
+    lp = ColumnLP([Rat(1)] * m)
+    cols: list[frozenset[int]] = []
+
+    def add(bundle: frozenset[int]) -> None:
+        cols.append(bundle)
+        lp.add_column(1, [1 if j in bundle else 0 for j in range(m)])
+
+    for bundle, worth in pool.items():
+        if worth >= t:
+            add(bundle)
     while True:
-        sep = _min_price_reaching(values, prices, t)
-        if sep is None:
+        lp.solve()
+        if b * lp.value >= 1:
             break
-        sep_price, bundle = sep
-        if sep_price >= b:
+        sep = _min_price_reaching(values, lp.duals(), t)
+        if sep is None or sep[0] >= 1:
             break
-        cuts.append(bundle)
-        c = [b] * len(cuts)
-        rows = [[Rat(1) if j in s else Rat(0) for s in cuts] for j in range(m)]
-        rhs = [Rat(1)] * m
-        opt, _, duals = simplex_max(c, rows, rhs)
-        prices = duals
-    return opt, prices
+        _, bundle, worth = sep
+        pool[bundle] = worth
+        add(bundle)
+    packing = [(s, w) for s, w in zip(cols, lp.primal()) if w > 0]
+    return _ThresholdLP(b * lp.value, [b * y for y in lp.duals()], packing)
 
 
 def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     """AnyPrice share with a matching price certificate and bundle witness.
 
     The share value is found by binary search on the integer threshold t,
-    deciding "APS < t" through the exact threshold price LP. The returned
-    certificate re-proves the upper bound (prices padded to sum exactly 1,
-    leaving every bundle above the share strictly unaffordable); the witness
-    re-proves the lower bound (weighted bundles at the share value with
-    per-item coverage at most b), found by column generation.
+    deciding "APS < t" through the exact threshold LP. The search is
+    bracketed by cheap exact bounds, unit_demand_aps <= APS <= floor(tps).
+    Each threshold gets one warm-started LP, and a cut pool that lives for
+    this call only carries every bundle found at one threshold to each
+    later threshold it is worth: a bundle of value v(S) is a valid column
+    for every t <= v(S). A threshold LP stops as soon as its restricted
+    packing reaches 1, which already proves APS >= t.
+
+    The LPs at aps + 1 and at aps are always solved, so a wrong bracket
+    raises instead of returning a wrong share. The certificate comes from
+    the LP at aps + 1 (prices padded to sum exactly 1, leaving every bundle
+    above the share strictly unaffordable); the witness is the packing of
+    the LP at aps normalised to weights summing to 1 (bundles worth at
+    least the share, per-item coverage at most b). Separation runs an
+    integer knapsack DP over prices scaled to a common denominator.
     """
     b = _check_budget(b)
     m = valuation.m
@@ -476,56 +532,45 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
         wit = BundleWitness(((),), (Rat(1),), 0)
         return ApsResult(0, cert, wit)
 
-    cache: dict[int, tuple[Rat, list[Rat]]] = {}
+    pool: dict[frozenset[int], int] = {}
+    solved: dict[int, _ThresholdLP] = {}
 
-    def below(t: int) -> bool:
-        if t not in cache:
-            cache[t] = _threshold_price_lp(values, b, t)
-        return cache[t][0] < 1
+    def threshold_lp(t: int) -> _ThresholdLP:
+        if t not in solved:
+            solved[t] = _threshold_price_lp(values, b, t, pool)
+        return solved[t]
 
-    lo, hi = 0, total + 1
+    lo = unit_demand_aps(values, b)
+    hi = math.floor(tps(valuation, b)) + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if below(mid):
+        if threshold_lp(mid).opt < 1:
             hi = mid
         else:
             lo = mid
     aps = lo
 
-    if (aps + 1) not in cache:
-        cache[aps + 1] = _threshold_price_lp(values, b, aps + 1)
-    opt, raw_prices = cache[aps + 1]
-    pad = (1 - opt) / m
-    cert = PriceCertificate(tuple(p + pad for p in raw_prices), b, aps)
+    upper = threshold_lp(aps + 1)
+    if upper.opt >= 1:
+        raise AssertionError(f"APS search: threshold {aps + 1} is reachable, so {aps} is not the share")
+    pad = (1 - upper.opt) / m
+    cert = PriceCertificate(tuple(p + pad for p in upper.prices), b, aps)
 
     if aps == 0:
         wit = BundleWitness(((),), (Rat(1),), 0)
         return ApsResult(0, cert, wit)
 
-    uniform = [Rat(1)] * m
-    first = _min_price_reaching(values, uniform, aps)
-    assert first is not None
-    cols: list[frozenset[int]] = [first[1]]
-    while True:
-        c = [Rat(1)] * len(cols)
-        rows = [[Rat(1) if j in s else Rat(0) for s in cols] for j in range(m)]
-        rhs = [b] * m
-        mass, lam, duals = simplex_max(c, rows, rhs)
-        found = _min_price_reaching(values, duals, aps)
-        assert found is not None
-        reduced_price, bundle = found
-        if reduced_price >= 1:
-            break
-        cols.append(bundle)
-    assert mass >= 1
-    sets = []
-    weights = []
-    for s, w in zip(cols, lam):
-        if w > 0:
-            sets.append(tuple(sorted(s)))
-            weights.append(w / mass)
-    assert len(sets) <= m
-    wit = BundleWitness(tuple(sets), tuple(weights), aps)
+    lower = threshold_lp(aps)
+    if lower.opt < 1:
+        raise AssertionError(f"APS search: threshold {aps} is unreachable, so {aps} is not the share")
+    if len(lower.packing) > m:
+        raise AssertionError(f"APS witness: {len(lower.packing)} bundles exceed {m} items")
+    mass = sum((w for _, w in lower.packing), Rat(0))
+    wit = BundleWitness(
+        tuple(tuple(sorted(s)) for s, _ in lower.packing),
+        tuple(w / mass for _, w in lower.packing),
+        aps,
+    )
     return ApsResult(aps, cert, wit)
 
 

@@ -11,8 +11,9 @@ from helpers import pair_sum_valuation
 def pair_aps():
     """AnyPrice share of the 15-item pair instance at entitlement 1/3.
 
-    The binary search with cutting planes takes a few seconds, so it is
-    computed once per session and shared by every test that needs it.
+    The binary search over threshold LPs is the costliest single share
+    solve in the suite, so it is computed once per session and shared by
+    every test that needs it.
     """
     valuation, _, _ = pair_sum_valuation()
     return aps_exact(valuation, Rat(1, 3))

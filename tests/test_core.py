@@ -135,6 +135,8 @@ def test_allocation_sorts_and_validates():
     alloc.require_full(3)
     with pytest.raises(InputError):
         alloc.require_full(4)
+    with pytest.raises(InputError, match="unknown item index -1"):
+        Allocation(((-1, 0), (1,))).require_full(2)
 
 
 def test_allocation_rejects_duplicates():

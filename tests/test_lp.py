@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fairshare import Rat
-from fairshare.lp import simplex_max
+from fairshare.lp import ColumnLP, simplex_max
 
 
 def test_tiny_box():
@@ -49,9 +49,22 @@ def test_unbounded_raises():
         simplex_max([Rat(1), Rat(1)], [[Rat(1), Rat(-1)]], [Rat(2)])
 
 
+def _assert_optimal(c, rows, rhs, obj, x, duals):
+    assert all(xi >= 0 for xi in x)
+    for row, limit in zip(rows, rhs):
+        assert sum(a * xi for a, xi in zip(row, x)) <= limit
+    assert all(y >= 0 for y in duals)
+    for j in range(len(c)):
+        assert c[j] <= sum(duals[i] * rows[i][j] for i in range(len(rows)))
+    assert obj == sum(ci * xi for ci, xi in zip(c, x))
+    assert obj == sum(y * limit for y, limit in zip(duals, rhs))
+
+
 def test_random_programs_carry_optimality_certificates():
     """Primal feasibility, dual feasibility, and matching objectives pin the
-    returned point as optimal, so no reference solver is needed."""
+    returned point as optimal, so no reference solver is needed. The
+    warm-started solver, fed one column at a time, must carry the same
+    certificate after every solve and match a cold solve's objective."""
     rng = random.Random(23)
     for _ in range(60):
         nvar = rng.randint(1, 4)
@@ -63,11 +76,11 @@ def test_random_programs_carry_optimality_certificates():
         rows.append([Rat(1)] * nvar)
         rhs.append(Rat(10))
         obj, x, duals = simplex_max(c, rows, rhs)
-        assert all(xi >= 0 for xi in x)
-        for row, limit in zip(rows, rhs):
-            assert sum(a * xi for a, xi in zip(row, x)) <= limit
-        assert all(y >= 0 for y in duals)
-        for j in range(nvar):
-            assert c[j] <= sum(duals[i] * rows[i][j] for i in range(len(rows)))
-        assert obj == sum(ci * xi for ci, xi in zip(c, x))
-        assert obj == sum(y * limit for y, limit in zip(duals, rhs))
+        _assert_optimal(c, rows, rhs, obj, x, duals)
+        lp = ColumnLP(rhs)
+        for k in range(1, nvar + 1):
+            lp.add_column(c[k - 1], [row[k - 1] for row in rows])
+            lp.solve()
+            sub_c, sub_rows = c[:k], [row[:k] for row in rows]
+            _assert_optimal(sub_c, sub_rows, rhs, lp.value, lp.primal(), lp.duals())
+            assert lp.value == simplex_max(sub_c, sub_rows, rhs)[0]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -24,8 +25,9 @@ from fairshare import (
     unit_demand_aps,
     wmms_exact,
 )
+from fairshare.oracle import aps_brute
 
-from helpers import base_valuation, pair_sum_valuation, rand_valuation, unit_items
+from helpers import base_valuation, pair_sum_valuation, rand_entitlement, rand_valuation, unit_items
 
 
 def test_proportional_share_values():
@@ -164,6 +166,52 @@ def test_witness_support_stays_small():
         assert len(res.witness.sets) <= v.m or v.m == 0
         assert check_price_certificate(res.certificate, v)
         assert check_bundle_witness(res.witness, v, b)
+
+
+def test_aps_matches_brute_force_at_both_bracket_ends():
+    """The search is bracketed by unit_demand_aps <= APS <= floor(tps), and
+    the final LPs at aps and aps + 1 re-prove both ends. The share must still
+    match brute force, with checked certificates, when it sits on either end
+    of the bracket, where the search never queries that end itself."""
+    rng = random.Random(53)
+    cases = [
+        (Valuation((4, 3, 2, 1)), Rat(1)),
+        (Valuation((0, 7, 0)), Rat(1, 2)),
+        (Valuation((7,)), Rat(1)),
+        (Valuation((0, 0, 0)), Rat(1, 3)),
+    ]
+    cases += [(rand_valuation(rng, m_max=7, vmax=8), rand_entitlement(rng, max_den=5)) for _ in range(40)]
+    at_low_only = at_high_only = 0
+    for v, b in cases:
+        res = aps_exact(v, b)
+        assert res.value == aps_brute(v, b)
+        assert check_price_certificate(res.certificate, v)
+        assert check_bundle_witness(res.witness, v, b)
+        assert res.certificate.value_bound == res.witness.value_floor == res.value
+        low, high = unit_demand_aps(v.item_values, b), math.floor(tps(v, b))
+        at_low_only += low == res.value < high
+        at_high_only += low < res.value == high
+    assert at_low_only and at_high_only
+
+
+@pytest.mark.parametrize(
+    "cls, doc, field",
+    [
+        (PriceCertificate, {"budget": "1/2", "value_bound": 1}, "prices"),
+        (PriceCertificate, {"prices": 5, "budget": "1/2", "value_bound": 1}, "prices"),
+        (PriceCertificate, {"prices": ["1/2"], "budget": "1/2", "value_bound": "x"}, "value_bound"),
+        (PriceCertificate, {"prices": ["1/2"], "value_bound": 1}, "budget"),
+        (BundleWitness, {"sets": [[0]], "weights": ["1"]}, "value_floor"),
+        (BundleWitness, {"sets": [["a"]], "weights": ["1"], "value_floor": 1}, "sets[0][0]"),
+        (BundleWitness, {"sets": [3], "weights": ["1"], "value_floor": 1}, "sets[0]"),
+        (BundleWitness, {"sets": [[0]], "weights": 1, "value_floor": 1}, "weights"),
+        (BundleWitness, [], "sets"),
+    ],
+)
+def test_certificate_documents_reject_malformed_fields(cls, doc, field):
+    with pytest.raises(InputError) as exc:
+        cls.from_json_dict(doc)
+    assert str(exc.value).startswith(f"{field}:")
 
 
 def test_certificate_json_round_trip():
