@@ -97,60 +97,54 @@ def unit_demand_aps(item_values: Sequence[int], b: Rat) -> int:
 # Knapsack primitives shared by the APS machinery and the certificate checks.
 
 
-def _knapsack_table(values: Sequence[int], prices: Sequence[Rat]) -> tuple[list[int], list[int], int, int]:
-    """cost[w] = min price of a subset of positive-value items of total value
-    exactly w, in units of 1/scale; mask[w] recovers one minimizer. Table
-    size is guarded.
-
-    The DP runs on Python ints: every price is scaled by `scale`, the lcm of
-    the price denominators, so it stays exact without rebuilding a Fraction
-    per cell. An unreachable w holds a cost above every reachable one; the
-    whole positive-value set reaches w = total, so cost[total] is the largest
-    reachable cost.
-    """
-    pos = [(j, values[j]) for j in range(len(values)) if values[j] > 0]
-    total = sum(v for _, v in pos)
+def _subset_states(
+    values: Sequence[int], prices: Sequence[Rat], cap: int
+) -> tuple[dict[int, tuple[int, int, int]], int]:
+    """0/1 DP over the positive-value items keeping reachable states only (Toth
+    1980): states[k] = (cost, value, mask) of the cheapest subset of value k,
+    or of value >= cap at k = cap, ties to the lower value. Costs are ints in
+    units of 1/scale, the lcm of the price denominators. The state count is
+    guarded; it is at most min(2^m, cap + 1) at any value scale."""
+    pos = [j for j in range(len(values)) if values[j] > 0]
+    scale = math.lcm(*(prices[j].denominator for j in pos))
     limit = guard_limit()
-    if total > limit:
-        raise GuardError("knapsack-value", limit, total)
-    scale = math.lcm(*(prices[j].denominator for j, _ in pos))
-    scaled = [(j, v, prices[j].numerator * (scale // prices[j].denominator)) for j, v in pos]
-    unreachable = sum(p for _, _, p in scaled) + 1
-    cost = [unreachable] * (total + 1)
-    mask = [0] * (total + 1)
-    cost[0] = 0
-    reach = 0
-    for j, v, p in scaled:
+    states = {0: (0, 0, 0)}
+    for j in pos:
+        v = values[j]
+        p = prices[j].numerator * (scale // prices[j].denominator)
         bit = 1 << j
-        reach += v
-        for w in range(reach, v - 1, -1):
-            cand = cost[w - v] + p
-            if cand < cost[w]:
-                cost[w] = cand
-                mask[w] = mask[w - v] | bit
-    return cost, mask, total, scale
+        for cost, worth, mask in list(states.values()):
+            cost += p
+            worth += v
+            key = worth if worth < cap else cap
+            old = states.get(key)
+            if old is None and len(states) == limit:
+                raise GuardError("knapsack-value", limit, limit + 1)
+            if old is None or cost < old[0] or (cost == old[0] and worth < old[1]):
+                states[key] = (cost, worth, mask | bit)
+    return states, scale
 
 
 def _min_price_reaching(
     values: Sequence[int], prices: Sequence[Rat], target: int
 ) -> tuple[Rat, frozenset[int], int] | None:
     """Cheapest subset with value >= target, as (price, subset, value), or
-    None if no subset reaches it."""
+    None if no subset reaches it. Ties go to the lowest value."""
     if target <= 0:
         return Rat(0), frozenset(), 0
-    cost, mask, total, scale = _knapsack_table(values, prices)
-    if target > total:
+    if target > sum(values):
         return None
-    best_w = min(range(target, total + 1), key=cost.__getitem__)
-    chosen = frozenset(j for j in range(len(values)) if mask[best_w] >> j & 1)
-    return Rat(cost[best_w], scale), chosen, best_w
+    states, scale = _subset_states(values, prices, target)
+    cost, worth, mask = states[target]
+    chosen = frozenset(j for j in range(len(values)) if mask >> j & 1)
+    return Rat(cost, scale), chosen, worth
 
 
 def _max_affordable_value(values: Sequence[int], prices: Sequence[Rat], budget: Rat) -> int:
     """Highest subset value purchasable within the budget."""
-    cost, _, total, scale = _knapsack_table(values, prices)
-    cap = min(math.floor(budget * scale), cost[total])
-    return max((w for w in range(total + 1) if cost[w] <= cap), default=0)
+    states, scale = _subset_states(values, prices, sum(values))
+    afford = math.floor(budget * scale)
+    return max((worth for cost, worth, _ in states.values() if cost <= afford), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +450,7 @@ def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bo
 
 class _ThresholdLP(NamedTuple):
     opt: Rat
-    prices: list[Rat]
+    prices: tuple[Rat, ...]
     packing: list[tuple[frozenset[int], Rat]]
 
 
@@ -467,12 +461,14 @@ def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozen
     bundles of value >= t with weights lam, each item covered at most once,
     maximizing b * sum(lam). One `ColumnLP` (unit costs, so the prices are
     b times its duals) is warm-started column by column: every pooled bundle
-    worth at least t seeds it, then the knapsack separation oracle adds the
-    cheapest bundle of value >= t while one costs less than b under the
-    current prices. Every bundle found joins `pool` with its value.
+    worth at least t seeds it, then `_min_price_reaching` (the state DP
+    capped at t) adds the cheapest bundle of value >= t, of the lowest value
+    among the cheapest, while one costs less than b under the current
+    prices. Every bundle found joins `pool` with its value.
 
     Returns (opt, prices, packing), packing being the bundles of positive
-    weight. opt < 1 is exact, and the prices prove APS < t. opt >= 1 may
+    weight and prices padded to sum exactly 1. opt < 1 is exact, and the
+    prices leave every bundle of value >= t unaffordable at b. opt >= 1 may
     stop early on a restricted column set: its packing already proves
     APS >= t.
     """
@@ -500,7 +496,9 @@ def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozen
         pool[bundle] = worth
         add(bundle)
     packing = [(s, w) for s, w in zip(cols, lp.primal()) if w > 0]
-    return _ThresholdLP(b * lp.value, [b * y for y in lp.duals()], packing)
+    opt = b * lp.value
+    pad = (1 - opt) / m
+    return _ThresholdLP(opt, tuple(b * y + pad for y in lp.duals()), packing)
 
 
 def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
@@ -508,7 +506,9 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
 
     The share value is found by binary search on the integer threshold t,
     deciding "APS < t" through the exact threshold LP. The search is
-    bracketed by cheap exact bounds, unit_demand_aps <= APS <= floor(tps).
+    bracketed by cheap exact bounds, unit_demand_aps <= APS <= floor(tps),
+    and jumps on what each LP proves: APS <= u, the best value affordable
+    at b under its padded prices, and APS >= the least value in its packing.
     Each threshold gets one warm-started LP, and a cut pool that lives for
     this call only carries every bundle found at one threshold to each
     later threshold it is worth: a bundle of value v(S) is a valid column
@@ -520,8 +520,8 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     the LP at aps + 1 (prices padded to sum exactly 1, leaving every bundle
     above the share strictly unaffordable); the witness is the packing of
     the LP at aps normalised to weights summing to 1 (bundles worth at
-    least the share, per-item coverage at most b). Separation runs an
-    integer knapsack DP over prices scaled to a common denominator.
+    least the share, per-item coverage at most b). Both oracles run
+    `_subset_states`: at most min(2^m, v(M) + 1) states at any value scale.
     """
     b = _check_budget(b)
     m = valuation.m
@@ -544,17 +544,17 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     hi = math.floor(tps(valuation, b)) + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if threshold_lp(mid).opt < 1:
-            hi = mid
+        res = threshold_lp(mid)
+        if res.opt < 1:
+            hi = min(mid, _max_affordable_value(values, res.prices, b) + 1)
         else:
-            lo = mid
+            lo = max(mid, min(pool[s] for s, _ in res.packing))
     aps = lo
 
     upper = threshold_lp(aps + 1)
     if upper.opt >= 1:
         raise AssertionError(f"APS search: threshold {aps + 1} is reachable, so {aps} is not the share")
-    pad = (1 - upper.opt) / m
-    cert = PriceCertificate(tuple(p + pad for p in upper.prices), b, aps)
+    cert = PriceCertificate(upper.prices, b, aps)
 
     if aps == 0:
         wit = BundleWitness(((),), (Rat(1),), 0)

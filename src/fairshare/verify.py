@@ -133,7 +133,7 @@ def check_ce(inst: Instance, alloc: Allocation, prices: tuple[Rat, ...]) -> bool
     Every item must be allocated once, every agent's bundle must cost at most
     her entitlement, and no affordable bundle may beat her own. When the test
     passes, every agent is guaranteed her full AnyPrice share, and this is
-    re-asserted here.
+    re-checked here (raising AssertionError, also under python -O).
     """
     alloc.require_full(inst.m)
     if alloc.n != inst.n:
@@ -152,26 +152,30 @@ def check_ce(inst: Instance, alloc: Allocation, prices: tuple[Rat, ...]) -> bool
             return False
     for i in range(inst.n):
         got = inst.agent_value(i, alloc.bundles[i])
-        assert got >= aps_exact(inst.valuations[i], inst.entitlements[i]).value, (
-            f"equilibrium bundle of agent {i} below the AnyPrice share"
-        )
+        if got < aps_exact(inst.valuations[i], inst.entitlements[i]).value:
+            raise AssertionError(f"equilibrium bundle of agent {i} below the AnyPrice share")
     return True
 
 
 def check_share_chain(valuation, b: Rat) -> dict:
     """Compute the share ladder and report which links are strict.
 
-    Asserts proportional >= tps >= aps >= pessimistic >= aps/2; a violation
-    would be an implementation bug, not a property of the instance.
+    Checks proportional >= tps >= aps >= pessimistic >= aps/2 and raises
+    AssertionError, also under python -O, on a violation: that would be an
+    implementation bug, not a property of the instance.
     """
     p = proportional_share(valuation, b)
     t = tps(valuation, b)
     a = aps_exact(valuation, b).value
     pe = pessimistic_share_exact(valuation, b)
-    assert p >= t, f"proportional {p} < tps {t}"
-    assert t >= a, f"tps {t} < aps {a}"
-    assert a >= pe, f"aps {a} < pessimistic {pe}"
-    assert 2 * pe >= a, f"pessimistic {pe} below half of aps {a}"
+    if p < t:
+        raise AssertionError(f"proportional {p} < tps {t}")
+    if t < a:
+        raise AssertionError(f"tps {t} < aps {a}")
+    if a < pe:
+        raise AssertionError(f"aps {a} < pessimistic {pe}")
+    if 2 * pe < a:
+        raise AssertionError(f"pessimistic {pe} below half of aps {a}")
     return {
         "proportional": p,
         "tps": t,

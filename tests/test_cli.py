@@ -81,6 +81,15 @@ def test_shares_guard_exit(tmp_path, capsys, monkeypatch):
     assert "size guard" in err
 
 
+def test_shares_huge_values_solve(tmp_path, capsys):
+    # v(M) = 10^7 + 1 used to exceed the knapsack guard and exit 3.
+    doc = {"agents": [{"entitlement": "1/2", "values": [10**7, 1]}] * 2}
+    path = write(tmp_path, "huge.json", doc)
+    code, out, _ = run_cli(capsys, ["shares", path, "--agent", "0"])
+    assert code == 0
+    assert out["agents"][0]["shares"]["aps"]["value"] == 1
+
+
 def test_allocate_bidding_five_units(tmp_path, capsys):
     path = write(tmp_path, "units.json", FIVE_UNITS)
     code, doc, _ = run_cli(capsys, ["allocate", path, "--method", "bidding", "--seed", "7"])

@@ -26,6 +26,7 @@ from fairshare import (
     wmms_exact,
 )
 from fairshare.oracle import aps_brute
+from fairshare.shares import _max_affordable_value, _min_price_reaching
 
 from helpers import base_valuation, pair_sum_valuation, rand_entitlement, rand_valuation, unit_items
 
@@ -181,6 +182,10 @@ def test_aps_matches_brute_force_at_both_bracket_ends():
         (Valuation((0, 0, 0)), Rat(1, 3)),
     ]
     cases += [(rand_valuation(rng, m_max=7, vmax=8), rand_entitlement(rng, max_den=5)) for _ in range(40)]
+    # Value scales the search bracket spans by up to 10^9; aps_brute does not
+    # depend on the scale.
+    cases.append((Valuation((10**7, 1)), Rat(1, 2)))
+    cases += [(rand_valuation(rng, m_max=7, vmax=10**9), rand_entitlement(rng, max_den=5)) for _ in range(15)]
     at_low_only = at_high_only = 0
     for v, b in cases:
         res = aps_exact(v, b)
@@ -192,6 +197,34 @@ def test_aps_matches_brute_force_at_both_bracket_ends():
         at_low_only += low == res.value < high
         at_high_only += low < res.value == high
     assert at_low_only and at_high_only
+
+
+def test_subset_state_oracles_match_enumeration():
+    """Both oracles against plain subset enumeration, with values up to 10^9
+    and zero values and zero prices mixed in: the separation bundle is the
+    cheapest of value >= t and, among the cheapest, of the lowest value."""
+    rng = random.Random(67)
+    for _ in range(150):
+        m = rng.randint(1, 10)
+        values = [rng.choice((0, rng.randint(1, 10), rng.randint(1, 10**9))) for _ in range(m)]
+        prices = [rng.choice((Rat(0), Rat(rng.randint(0, 9), rng.randint(1, 9)))) for _ in range(m)]
+        subsets = [((), Rat(0), 0)]
+        for j in range(m):
+            subsets += [(s + (j,), p + prices[j], v + values[j]) for s, p, v in subsets]
+        total = sum(values)
+        for t in (0, total, total + 1, rng.randint(1, max(total, 1)), rng.choice(subsets)[2]):
+            got = _min_price_reaching(values, prices, t)
+            reaching = [(p, v) for _, p, v in subsets if v >= t]
+            if not reaching:
+                assert got is None
+                continue
+            price, bundle, worth = got
+            assert (price, worth) == min(reaching)
+            assert sum(prices[j] for j in bundle) == price
+            assert sum(values[j] for j in bundle) == worth
+        budget = Rat(rng.randint(0, 20), rng.randint(1, 9))
+        best = max(v for _, p, v in subsets if p <= budget)
+        assert _max_affordable_value(values, prices, budget) == best
 
 
 @pytest.mark.parametrize(
@@ -287,6 +320,22 @@ def test_guard_trips_on_tiny_limit(monkeypatch):
     with pytest.raises(GuardError) as exc:
         wmms_exact([Rat(1, 3)] * 3, 0, big)
     assert exc.value.guard == "assignment-nodes"
+
+
+def test_knapsack_guard_counts_states_not_value_scale(monkeypatch):
+    """The separation guard bounds DP states, at most min(2^m, v(M) + 1): four
+    items near 10^9 solve under a limit of 1000, while twelve distinct powers
+    of two reach every value below 4096 and trip it."""
+    monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", "1000")
+    v = Valuation((999_999_937, 999_999_929, 999_999_893, 999_999_883))
+    for b in (Rat(1, 2), Rat(2, 5)):
+        res = aps_exact(v, b)
+        assert res.value == aps_brute(v, b)
+        assert check_price_certificate(res.certificate, v)
+        assert check_bundle_witness(res.witness, v, b)
+    with pytest.raises(GuardError) as exc:
+        aps_exact(Valuation(tuple(1 << k for k in range(12))), Rat(1, 2))
+    assert exc.value.guard == "knapsack-value"
 
 
 def test_share_functions_validate_entitlement():

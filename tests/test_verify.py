@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fairshare
 from fairshare import (
     Allocation,
     InputError,
@@ -18,6 +23,7 @@ from fairshare import (
     run_game,
     tps,
     two_agent_aps_allocation,
+    verify,
 )
 from fairshare.verify import BOUND_SETS
 
@@ -158,3 +164,42 @@ def test_share_chain_single_item():
     assert out["pessimistic"] == 0
     assert out["strict"]["proportional_tps"]
     assert not out["strict"]["tps_aps"]
+
+
+def _overstated_aps(real):
+    def aps(v, b):
+        res = real(v, b)
+        return res._replace(value=res.value + 1)
+    return aps
+
+
+def test_share_invariants_raise_on_overstated_aps(monkeypatch):
+    monkeypatch.setattr(verify, "aps_exact", _overstated_aps(verify.aps_exact))
+    inst, bundles, prices = ce_fixture()
+    with pytest.raises(AssertionError, match="below the AnyPrice share"):
+        check_ce(inst, Allocation(bundles), prices)
+    with pytest.raises(AssertionError, match="tps 2 < aps 3"):
+        check_share_chain(base_valuation(), Rat(2, 5))
+
+
+def test_share_invariants_survive_optimize_flag():
+    """The same two checks in a `python -O` interpreter, which strips
+    `assert` statements: both must still raise."""
+    script = (
+        "from fairshare import Allocation, Rat, check_ce, check_share_chain, verify\n"
+        "from helpers import base_valuation, ce_fixture\n"
+        "from test_verify import _overstated_aps\n"
+        "verify.aps_exact = _overstated_aps(verify.aps_exact)\n"
+        "inst, bundles, prices = ce_fixture()\n"
+        "for call in (lambda: check_ce(inst, Allocation(bundles), prices),\n"
+        "             lambda: check_share_chain(base_valuation(), Rat(2, 5))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError:\n"
+        "        print('raised')\n"
+    )
+    paths = [str(Path(fairshare.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]
