@@ -15,7 +15,6 @@ solver.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -28,7 +27,7 @@ from .core import (
     rat_from_str,
     rat_to_str,
 )
-from .shares import tps
+from .shares import _rank_item_value, tps
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,8 @@ def run_game(
         bundles[winner].extend(taken)
         remaining = [j for j in remaining if j not in set(taken)]
         rounds.append(RoundRecord(tuple(bids), winner, taken, payment))
-        assert sum(budgets, Rat(0)) + paid == 1, "budget conservation violated"
+        if sum(budgets, Rat(0)) + paid != 1:
+            raise AssertionError("budget conservation violated")
     allocation = Allocation(tuple(tuple(b) for b in bundles))
     return GameTranscript(tuple(rounds), allocation, tuple(flags))
 
@@ -288,12 +288,11 @@ class _BidMaxValue(Strategy):
     the value mass to a sub-game's item set.
     """
 
-    def __init__(self, valuation, b, cap=None, scale=Rat(1), universe=None) -> None:
+    def __init__(self, valuation, cap=None, scale=Rat(1), universe=None) -> None:
         items = range(valuation.m) if universe is None else universe
         vals = valuation.item_values
         self.capped = {j: vals[j] if cap is None else min(vals[j], cap) for j in items}
         self.total = sum(self.capped.values())
-        self.b = Rat(b)
         self.scale = Rat(scale)
 
     def _top(self, remaining) -> tuple[int, ...]:
@@ -316,7 +315,7 @@ def strategy_bid_max_value(valuation: Valuation, b: Rat, cap=None) -> Strategy:
     total, a final bundle worth at least k/(k+1) of that proportional slice;
     with the truncated proportional share as cap this yields at least half
     the TPS."""
-    return _BidMaxValue(valuation, b, cap=cap)
+    return _BidMaxValue(valuation, cap=cap)
 
 
 class _RankItemStrategy(Strategy):
@@ -343,7 +342,7 @@ class _TpsStrategy(Strategy):
     """Adaptive proportional bidding with a two-item rescue; guarantees a
     bundle worth at least TPS/(2-b) and retires after one satisfying win."""
 
-    def __init__(self, valuation: Valuation, b: Rat) -> None:
+    def __init__(self, valuation: Valuation) -> None:
         self.vals = valuation.item_values
         self.dropped = False
         self.prev_bundle = 0
@@ -383,7 +382,7 @@ class _TpsStrategy(Strategy):
 
 
 def strategy_tps(valuation: Valuation, b: Rat) -> Strategy:
-    return _TpsStrategy(valuation, b)
+    return _TpsStrategy(valuation)
 
 
 class _Lemma34Strategy(Strategy):
@@ -493,14 +492,11 @@ class _Aps35Strategy(Strategy):
         if pool <= 0:
             self.done = True
             return Rat(0)
-        inner_b = view.budget / pool
         if self.eight:
-            self.delegate = _BidMaxValue(
-                self.valuation, inner_b, cap=None, scale=pool, universe=view.remaining
-            )
+            self.delegate = _BidMaxValue(self.valuation, scale=pool, universe=view.remaining)
         else:
             self.delegate = _Lemma34Strategy(
-                self.valuation, inner_b, Rat(2, 5) * self.z, scale=pool, universe=view.remaining
+                self.valuation, view.budget / pool, Rat(2, 5) * self.z, scale=pool, universe=view.remaining
             )
         return self.delegate.bid(view)
 
@@ -655,13 +651,10 @@ def meta_guarantees(valuation: Valuation, b: Rat) -> tuple[int, dict[str, Rat]]:
     """Simulation-backed guarantee of each candidate strategy, plus the z the
     three-step strategy would target."""
     z = best_good_z(valuation, b)
-    rank = math.floor(1 / Rat(b))
-    ordered = sorted(valuation.item_values, reverse=True)
-    rank_value = ordered[rank - 1] if rank <= len(ordered) else 0
     return z, {
         "aps35": Rat(3, 5) * z,
         "tps": tps(valuation, b) / (2 - Rat(b)),
-        "rank": Rat(rank_value),
+        "rank": Rat(_rank_item_value(valuation.item_values, b)),
     }
 
 

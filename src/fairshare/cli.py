@@ -55,7 +55,6 @@ from .shares import (
 from .verify import BOUND_SETS, check_allocation, check_ce
 
 NOTIONS = ("proportional", "tps", "aps", "pessimistic", "mms", "wmms", "unit-demand")
-STRATEGY_NAMES = ("meta", "tps", "rank", "zero", "maxval", "maxval-tps", "aps35", "aps35-alt", "lemma34")
 
 
 def _emit(doc: dict) -> None:
@@ -126,30 +125,31 @@ def _parse_tie_break(text: str):
     raise InputError(f"tie-break: expected 'lowest' or 'avoid:I', got {text!r}")
 
 
+def _lemma34(valuation, b: Rat, z: int | None):
+    if z is None:
+        raise InputError("strategies: lemma34 needs an explicit target, e.g. 0=lemma34:5")
+    return strategy_lemma34(valuation, b, z)
+
+
+# Every strategy the CLI accepts, as a builder (valuation, b, z) -> Strategy;
+# z is the target from `name:z`, or None when the spec gives none.
+STRATEGIES = {
+    "meta": lambda v, b, z: meta_strategy(v, b),
+    "tps": lambda v, b, z: strategy_tps(v, b),
+    "rank": lambda v, b, z: strategy_rank_item(v, b),
+    "zero": lambda v, b, z: strategy_zero(v, b),
+    "maxval": lambda v, b, z: strategy_bid_max_value(v, b),
+    "maxval-tps": lambda v, b, z: strategy_bid_max_value(v, b, cap=tps(v, b)),
+    "aps35": lambda v, b, z: strategy_aps35(v, b, best_good_z(v, b) if z is None else z),
+    "aps35-alt": lambda v, b, z: strategy_aps35(
+        v, b, best_good_z(v, b) if z is None else z, eight_fifteenths=True
+    ),
+    "lemma34": _lemma34,
+}
+
+
 def _make_strategy(name: str, z: int | None, valuation, b: Rat):
-    if name == "meta":
-        return meta_strategy(valuation, b)
-    if name == "tps":
-        return strategy_tps(valuation, b)
-    if name == "rank":
-        return strategy_rank_item(valuation, b)
-    if name == "zero":
-        return strategy_zero(valuation, b)
-    if name == "maxval":
-        return strategy_bid_max_value(valuation, b)
-    if name == "maxval-tps":
-        return strategy_bid_max_value(valuation, b, cap=tps(valuation, b))
-    if name == "aps35":
-        return strategy_aps35(valuation, b, best_good_z(valuation, b) if z is None else z)
-    if name == "aps35-alt":
-        return strategy_aps35(
-            valuation, b, best_good_z(valuation, b) if z is None else z, eight_fifteenths=True
-        )
-    if name == "lemma34":
-        if z is None:
-            raise InputError("strategies: lemma34 needs an explicit target, e.g. 0=lemma34:5")
-        return strategy_lemma34(valuation, b, z)
-    raise InputError(f"strategies: unknown strategy {name!r}, expected one of {', '.join(STRATEGY_NAMES)}")
+    return STRATEGIES[name](valuation, b, z)
 
 
 def _parse_strategy_specs(text: str | None, n: int) -> dict[int, tuple[str, int | None]]:
@@ -177,9 +177,9 @@ def _parse_strategy_specs(text: str | None, n: int) -> dict[int, tuple[str, int 
                 z = int(ztext)
             except ValueError:
                 raise InputError(f"strategies: bad target {ztext!r} for agent {agent}") from None
-        if name not in STRATEGY_NAMES:
+        if name not in STRATEGIES:
             raise InputError(
-                f"strategies: unknown strategy {name!r}, expected one of {', '.join(STRATEGY_NAMES)}"
+                f"strategies: unknown strategy {name!r}, expected one of {', '.join(STRATEGIES)}"
             )
         specs[agent] = (name, z)
     return specs
@@ -310,18 +310,18 @@ def cmd_game(args) -> int:
         v = inst.valuations[focal]
         b = inst.entitlements[focal]
         name, z = specs.get(focal, ("meta", None))
-
-        def fresh():
-            return _make_strategy(name, z, v, b)
-
         if args.adversary == "worst":
+            # Strategies are deterministic and this one is unplayed, so a clone
+            # per pattern plays exactly as a fresh build would, without
+            # re-running meta's or aps35's simulation search each time.
+            proto = _make_strategy(name, z, v, b)
             worst_value = None
             worst_pattern = None
             worst_transcript = None
             feasible = 0
             patterns = enumerate_win_patterns(inst.m)
             for wins in patterns:
-                t = worst_case_adversary(v, b, fresh(), wins)
+                t = worst_case_adversary(v, b, proto.clone(), wins)
                 if not t.infeasible:
                     feasible += 1
                 got = v.value(t.allocation.bundles[0])
@@ -340,7 +340,7 @@ def cmd_game(args) -> int:
             _maybe_write_transcript(args, worst_transcript)
             return 0
         wins = _parse_pattern(args.adversary)
-        t = worst_case_adversary(v, b, fresh(), wins)
+        t = worst_case_adversary(v, b, _make_strategy(name, z, v, b), wins)
         doc = {
             "focal": focal,
             "strategy": name,

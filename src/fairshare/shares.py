@@ -93,6 +93,14 @@ def unit_demand_aps(item_values: Sequence[int], b: Rat) -> int:
     return 0
 
 
+def _rank_item_value(item_values: Sequence[int], b: Rat) -> int:
+    """The floor(1/b)-th largest item value, 0 if absent: what the rank bidder
+    secures, and the entitlement-rank term of the bidding-game guarantee."""
+    rank = math.floor(1 / Rat(b))
+    ordered = sorted(item_values, reverse=True)
+    return ordered[rank - 1] if rank <= len(ordered) else 0
+
+
 # ---------------------------------------------------------------------------
 # Knapsack primitives shared by the APS machinery and the certificate checks.
 

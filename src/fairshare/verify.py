@@ -9,12 +9,12 @@ exact; decimal fields in the JSON are 6-digit renderings for humans only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import Allocation, GuardError, InputError, Instance, Rat, rat_to_str
 from .shares import (
     _max_affordable_value,
+    _rank_item_value,
     aps_exact,
     pessimistic_share_exact,
     proportional_share,
@@ -77,12 +77,6 @@ class GuaranteeReport:
         }
 
 
-def _rank_value(values: tuple[int, ...], b: Rat) -> int:
-    rank = math.floor(1 / b)
-    ordered = sorted(values, reverse=True)
-    return ordered[rank - 1] if rank <= len(ordered) else 0
-
-
 def check_allocation(inst: Instance, alloc: Allocation, bounds: str = "arbitrary-entitlements") -> GuaranteeReport:
     """Measure every agent's bundle against the chosen bound set.
 
@@ -113,7 +107,7 @@ def check_allocation(inst: Instance, alloc: Allocation, bounds: str = "arbitrary
         except GuardError:
             shares["pessimistic"] = None
         if bounds == "arbitrary-entitlements":
-            rank = _rank_value(v.item_values, b)
+            rank = _rank_item_value(v.item_values, b)
             shares["rank"] = rank
             threshold = max(Rat(3, 5) * aps, t / (2 - b), Rat(rank))
         elif bounds == "equal-entitlements-gefx":

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from fairshare.cli import main
+import fairshare.bidding
+import fairshare.cli
+from fairshare.bidding import enumerate_win_patterns, worst_case_adversary
+from fairshare.cli import STRATEGIES, _make_strategy, main
+from fairshare.core import parse_instance
 
 BASE_EXAMPLE = {
     "agents": [
@@ -192,6 +198,71 @@ def test_game_worst_case_sweep(tmp_path, capsys):
     assert doc["pattern"] is not None
     assert doc["patterns_checked"] == 1 + 5 + 10
     assert doc["patterns_feasible"] >= 1
+
+
+def _fresh_build_sweep(inst, focal, name, z):
+    """The worst-case sweep document with a fresh strategy built per pattern."""
+    v, b = inst.valuations[focal], inst.entitlements[focal]
+    patterns = enumerate_win_patterns(inst.m)
+    worst = None
+    feasible = 0
+    for wins in patterns:
+        t = worst_case_adversary(v, b, _make_strategy(name, z, v, b), wins)
+        feasible += not t.infeasible
+        got = v.value(t.allocation.bundles[0])
+        if worst is None or got < worst[0]:
+            worst = (got, wins, t)
+    return {
+        "focal": focal,
+        "strategy": name,
+        "patterns_checked": len(patterns),
+        "patterns_feasible": feasible,
+        "min_value": worst[0],
+        "pattern": list(worst[1]),
+        "transcript": worst[2].to_json_dict(),
+    }
+
+
+def test_game_worst_sweep_matches_fresh_builds(tmp_path, capsys, monkeypatch):
+    # The sweep builds its strategy once and clones it per pattern; the
+    # document must equal the one a fresh build per pattern gives, and the
+    # simulation search behind meta and aps35 must run once per sweep.
+    calls = []
+    real = fairshare.bidding.best_good_z
+
+    def counted(valuation, b):
+        calls.append(1)
+        return real(valuation, b)
+
+    monkeypatch.setattr(fairshare.cli, "best_good_z", counted)
+    monkeypatch.setattr(fairshare.bidding, "best_good_z", counted)
+    rng = random.Random(4)
+    cells = [(n, m, kind) for n in (2, 3, 4) for m in (4, 5, 6) for kind in ("equal", "weighted")]
+    for n, m, kind in rng.sample(cells, 8):
+        weights = [1] * n if kind == "equal" else [rng.randint(1, 5) for _ in range(n)]
+        agents = [
+            {"entitlement": str(Fraction(w, sum(weights))), "values": [rng.randint(0, 6) for _ in range(m)]}
+            for w in weights
+        ]
+        path = write(tmp_path, "inst.json", {"agents": agents})
+        with open(path, encoding="utf-8") as fh:
+            inst = parse_instance(fh.read())
+        focal = rng.randrange(n)
+        target = rng.randint(1, max(1, inst.valuations[focal].total))
+        specs = [(name, None) for name in STRATEGIES if name != "lemma34"]
+        specs += [("lemma34", target), ("aps35", target)]
+        for name, z in specs:
+            spec = name if z is None else f"{name}:{z}"
+            argv = ["game", path, "--focal", str(focal), "--adversary", "worst"]
+            calls.clear()
+            code, doc, _ = run_cli(capsys, argv + ["--strategies", f"{focal}={spec}"])
+            assert code == 0
+            searches = z is None and name in ("meta", "aps35", "aps35-alt")
+            assert len(calls) == (1 if searches else 0), (n, m, kind, spec)
+            assert doc == _fresh_build_sweep(inst, focal, name, z), (n, m, kind, spec)
+        code, doc, err = run_cli(capsys, argv + ["--strategies", f"{focal}=lemma34"])
+        assert (code, doc) == (2, None)
+        assert "lemma34 needs an explicit target" in err
 
 
 def test_game_single_pattern(tmp_path, capsys):
