@@ -24,6 +24,7 @@ from .core import (
     Instance,
     Rat,
     Valuation,
+    check_entitlement,
     rat_from_str,
     rat_to_str,
 )
@@ -570,10 +571,8 @@ def worst_case_adversary(
         raise InputError(f"wins: expected 1-based round indices, got {wins!r}")
     winset = set(wins)
     vals = valuation.item_values
-    budget_a = Rat(b)
+    budget_a = check_entitlement(b)
     budget_adv = 1 - budget_a
-    if not (0 < budget_a <= 1):
-        raise InputError(f"entitlement: must satisfy 0 < b <= 1, got {rat_to_str(Rat(b))}")
     remaining = list(range(valuation.m))
     bundles: list[list[int]] = [[], []]
     rounds: list[RoundRecord] = []

@@ -99,6 +99,10 @@ class Valuation:
 
 
 def check_entitlement(b: Rat, path: str = "entitlement") -> Rat:
+    """An entitlement as an exact rational 0 < b <= 1. Plain ints are
+    promoted; floats, bools and strings are refused."""
+    if isinstance(b, int) and not isinstance(b, bool):
+        b = Rat(b)
     if not isinstance(b, Fraction):
         raise InputError(f"{path}: expected an exact rational, got {type(b).__name__}")
     if not (0 < b <= 1):
@@ -153,8 +157,6 @@ def make_instance(
         path = f"agents[{i}].entitlement"
         if isinstance(b, str):
             b = rat_from_str(b, path)
-        elif isinstance(b, int) and not isinstance(b, bool):
-            b = Rat(b)
         ents.append(check_entitlement(b, path))
     total = sum(ents, Rat(0))
     if total != 1:

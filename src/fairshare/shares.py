@@ -8,6 +8,10 @@ MMS, l-out-of-d, pessimistic) return ints; the scale-dependent ones
 `aps_exact` returns the share value together with two independently
 checkable certificates: a price vector proving the upper bound and a
 weighted bundle collection proving the lower bound.
+
+The partition shares (MMS, l-out-of-d, pessimistic, WMMS) are one branch
+and bound, `_partition_search`; each picks the integer bundle weights, how
+many of the smallest weighted bundles count, and its guard name.
 """
 
 from __future__ import annotations
@@ -22,19 +26,12 @@ from .core import (
     InputError,
     Rat,
     Valuation,
+    check_entitlement,
     guard_limit,
     rat_from_str,
     rat_to_str,
 )
 from .lp import ColumnLP
-
-
-def _check_budget(b: Rat) -> Rat:
-    if not isinstance(b, Rat):
-        b = Rat(b)
-    if not (0 < b <= 1):
-        raise InputError(f"entitlement: must satisfy 0 < b <= 1, got {rat_to_str(Rat(b))}")
-    return b
 
 
 class _NodeCounter:
@@ -58,7 +55,7 @@ class _NodeCounter:
 
 
 def proportional_share(valuation: Valuation, b: Rat) -> Rat:
-    b = _check_budget(b)
+    b = check_entitlement(b)
     return b * valuation.total
 
 
@@ -69,7 +66,7 @@ def tps(valuation: Valuation, b: Rat) -> Rat:
     what is left, inflating the entitlement to b/(1-b) at each peel; once the
     entitlement reaches 1/2 the remainder is priced in one step.
     """
-    b = _check_budget(b)
+    b = check_entitlement(b)
     vals = sorted(valuation.item_values, reverse=True)
     while True:
         total = sum(vals)
@@ -85,7 +82,7 @@ def tps(valuation: Valuation, b: Rat) -> Rat:
 
 def unit_demand_aps(item_values: Sequence[int], b: Rat) -> int:
     """APS under unit demand: the ceil(1/b)-th largest item value, 0 if absent."""
-    b = _check_budget(b)
+    b = check_entitlement(b)
     rank = math.ceil(1 / b)
     ordered = sorted(item_values, reverse=True)
     if rank <= len(ordered):
@@ -156,117 +153,111 @@ def _max_affordable_value(values: Sequence[int], prices: Sequence[Rat], budget: 
 
 
 # ---------------------------------------------------------------------------
-# Partition-based shares.
+# Partition-based shares: one branch and bound behind all four.
 
 
-def mms_exact(valuation: Valuation, n_parts: int) -> int:
-    """Maximin share over partitions into n_parts bundles, by branch and bound.
+def _partition_search(
+    values: Sequence[int], weights: Sequence[int], take: int, counter: _NodeCounter, best: int = 0
+) -> int:
+    """Largest sum of the `take` smallest weighted bundle values W_k * v(A_k)
+    over assignments of the items to len(weights) bundles, or `best` if no
+    assignment beats it.
 
-    Items are placed in descending value order; equal-sum bundles are only
-    tried once per item, and a fractional water-filling bound prunes branches
-    that cannot beat the incumbent. Node count is guarded.
+    Positive items are placed in descending order (Korf 2009). Bundles with
+    equal (W_k, v(A_k)) are interchangeable, so an item tries only one of
+    them and a state is expanded once (memo on the sorted bundle states).
+    An integer water-filling bound, the best objective if the remaining
+    value could be split fractionally, prunes every state that cannot beat
+    the incumbent; it is exact at the leaves. Callers pass unit weights
+    whenever take > 1, which the bound and the all-bundles case assume.
     """
-    if n_parts < 1:
-        raise InputError(f"n_parts: must be >= 1, got {n_parts}")
-    items = sorted((x for x in valuation.item_values if x > 0), reverse=True)
-    if n_parts == 1:
-        return sum(items)
-    if n_parts > len(items):
-        return 0
-    counter = _NodeCounter("mms-nodes")
-    k = n_parts
-    suffix = [0] * (len(items) + 1)
-    for idx in range(len(items) - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] + items[idx]
-    best = 0
+    items = sorted((x for x in values if x > 0), reverse=True)
+    # Bundles beyond the item count stay empty: they are the smallest values.
+    forced = max(len(weights) - len(items), 0)
+    if take <= forced:
+        return best
+    weights, take = weights[forced:], take - forced
+    if take == len(weights):
+        return max(best, sum(items))
+    k = len(weights)
+    # A bundle's state is one int, W_k * v(A_k) * kinds + the index of W_k among
+    # the distinct weights, so states sort, hash and compare as plain ints
+    # (with unit weights it is v(A_k)). Raising W_k * v(A_k) by one costs
+    # scale // W_k in units of 1/scale.
+    distinct = sorted(set(weights))
+    kinds = len(distinct)
+    scale = math.lcm(*distinct)
+    rates = [scale // w for w in distinct]
+    steps = [w * kinds for w in weights]
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
-    def water_level(sums: list[int], pool: int) -> int:
-        # Largest L with sum(max(L - s, 0)) <= pool, ignoring indivisibility.
-        asc = sorted(sums)
-        level = asc[0]
+    def ceiling(asc: list[int], pool: int) -> int:
+        # Fill the lowest bundles to a common level with the pool; only the
+        # final objective is floored.
+        pool *= scale
+        level = asc[0] // kinds
+        rate = rates[asc[0] % kinds]
         t = 1
         while t < k:
-            gap = (asc[t] - level) * t
+            u = asc[t] // kinds
+            gap = (u - level) * rate
             if gap > pool:
                 break
             pool -= gap
-            level = asc[t]
+            level = u
+            rate += rates[asc[t] % kinds]
             t += 1
-        return level + pool // t
+        if take <= t:
+            return take * (level * rate + pool) // rate
+        return t * (level * rate + pool) // rate + sum(s // kinds for s in asc[t:take])
 
-    def dfs(idx: int, sums: list[int]) -> None:
+    def dfs(idx: int, state: list[int], pool: int) -> None:
         nonlocal best
         counter.tick()
+        asc = sorted(state)
+        bound = ceiling(asc, pool)
+        if bound <= best:
+            return
         if idx == len(items):
-            low = min(sums)
-            if low > best:
-                best = low
+            best = bound
             return
-        if water_level(sums, suffix[idx]) <= best:
-            return
-        key = (idx, tuple(sorted(sums)))
+        key = (idx, tuple(asc))
         if key in seen:
             return
         seen.add(key)
         x = items[idx]
         tried: set[int] = set()
         for i in range(k):
-            if sums[i] in tried:
+            if state[i] in tried:
                 continue
-            tried.add(sums[i])
-            sums[i] += x
-            dfs(idx + 1, sums)
-            sums[i] -= x
-    dfs(0, [0] * k)
+            tried.add(state[i])
+            state[i] += steps[i] * x
+            dfs(idx + 1, state, pool - x)
+            state[i] -= steps[i] * x
+
+    dfs(0, [distinct.index(w) for w in weights], sum(items))
     return best
 
 
-def _l_out_of_d_counted(values: list[int], l: int, d: int, counter: _NodeCounter) -> int:
-    """Max over partitions into d bundles of the sum of the l smallest bundle
-    values. Zero-value items are dropped; forced-empty bundles count as zeros."""
-    vals = sorted((x for x in values if x > 0), reverse=True)
-    cnt = len(vals)
-    cap = min(d, cnt)
-    forced_zeros = d - cap
-    if l <= forced_zeros:
-        return 0
-    take = l - forced_zeros
-    if cap == 0:
-        return 0
-    best = 0
-
-    def objective(sums: list[int]) -> int:
-        return sum(sorted(sums)[:take])
-
-    def dfs(idx: int, sums: list[int], used: int) -> None:
-        nonlocal best
-        counter.tick()
-        if idx == cnt:
-            score = objective(sums)
-            if score > best:
-                best = score
-            return
-        x = vals[idx]
-        # Canonical assignments: an item may open at most one new bundle.
-        top = min(used + 1, cap)
-        for i in range(top):
-            sums[i] += x
-            dfs(idx + 1, sums, max(used, i + 1))
-            sums[i] -= x
-
-    dfs(0, [0] * cap, 0)
-    return best
+def mms_exact(valuation: Valuation, n_parts: int) -> int:
+    """Maximin share over partitions into n_parts bundles: the partition
+    search with one unit-weight bundle per part, maximising the smallest.
+    Node count is guarded by `mms-nodes`.
+    """
+    if n_parts < 1:
+        raise InputError(f"n_parts: must be >= 1, got {n_parts}")
+    return _partition_search(valuation.item_values, [1] * n_parts, 1, _NodeCounter("mms-nodes"))
 
 
 def l_out_of_d_share_exact(valuation: Valuation, l: int, d: int) -> int:
-    """Worst l bundles out of a best partition into d bundles."""
+    """Worst l bundles out of a best partition into d bundles: the partition
+    search over d unit-weight bundles summing the l smallest. Zero-value
+    items are dropped; forced-empty bundles count as zeros. Node count is
+    guarded by `partition-nodes`.
+    """
     if not (1 <= l <= d):
         raise InputError(f"l-out-of-d: need 1 <= l <= d, got l={l}, d={d}")
-    if l == d:
-        return valuation.total
-    counter = _NodeCounter("partition-nodes")
-    return _l_out_of_d_counted(list(valuation.item_values), l, d, counter)
+    return _partition_search(valuation.item_values, [1] * d, l, _NodeCounter("partition-nodes"))
 
 
 def pessimistic_share_exact(valuation: Valuation, b: Rat) -> int:
@@ -275,24 +266,19 @@ def pessimistic_share_exact(valuation: Valuation, b: Rat) -> int:
     Unit-fraction entitlements reduce to MMS with 1/b parts. Otherwise d
     ranges over 1..m (larger denominators cannot help for integer values),
     and for each d only l = floor(b*d) matters since the objective is
-    non-decreasing in l. One node guard spans the whole sweep.
+    non-decreasing in l. Each d runs the partition search seeded with the
+    best value so far, so it only explores what could beat it; one
+    `partition-nodes` guard spans the whole sweep.
     """
-    b = _check_budget(b)
+    b = check_entitlement(b)
     if b.numerator == 1:
         return mms_exact(valuation, b.denominator)
     counter = _NodeCounter("partition-nodes")
     best = 0
-    values = list(valuation.item_values)
     for d in range(1, valuation.m + 1):
         l = math.floor(b * d)
-        if l < 1:
-            continue
-        if l == d:
-            cand = valuation.total
-        else:
-            cand = _l_out_of_d_counted(values, l, d, counter)
-        if cand > best:
-            best = cand
+        if l >= 1:
+            best = _partition_search(valuation.item_values, [1] * d, l, counter, best)
     return best
 
 
@@ -302,47 +288,20 @@ def wmms_exact(entitlements: Sequence[Rat], i: int, valuation: Valuation) -> Rat
     Maximizes, over full allocations judged with agent i's valuation, the
     minimum of (b_i/b_k) * v_i(A_k). Zero whenever fewer items carry positive
     value than there are agents, since some bundle then values to nothing.
+    With b_k = p_k/q and L = lcm(p), that minimum is (p_i/L) times the
+    minimum of (L/p_k) * v_i(A_k): the partition search with integer weights
+    L/p_k. Node count is guarded by `assignment-nodes`.
     """
-    ents = [(_check_budget(e)) for e in entitlements]
+    ents = [check_entitlement(e) for e in entitlements]
     if sum(ents, Rat(0)) != 1:
         raise InputError(f"entitlements: sum {rat_to_str(sum(ents, Rat(0)))} != 1")
     if not (0 <= i < len(ents)):
         raise InputError(f"agent index {i} out of range")
-    n = len(ents)
-    vals = [x for x in valuation.item_values if x > 0]
-    if len(vals) < n:
-        return Rat(0)
-    vals.sort(reverse=True)
-    counter = _NodeCounter("assignment-nodes")
-    ratios = [ents[i] / ents[k] for k in range(n)]
-    remaining = [0] * (len(vals) + 1)
-    for idx in range(len(vals) - 1, -1, -1):
-        remaining[idx] = remaining[idx + 1] + vals[idx]
-    best = Rat(0)
-
-    def dfs(idx: int, sums: list[int]) -> None:
-        nonlocal best
-        counter.tick()
-        if idx == len(vals):
-            score = min(ratios[k] * sums[k] for k in range(n))
-            if score > best:
-                best = score
-            return
-        ceiling = min(ratios[k] * (sums[k] + remaining[idx]) for k in range(n))
-        if ceiling <= best:
-            return
-        seen: set[tuple[Rat, int]] = set()
-        for k in range(n):
-            key = (ratios[k], sums[k])
-            if key in seen:
-                continue
-            seen.add(key)
-            sums[k] += vals[idx]
-            dfs(idx + 1, sums)
-            sums[k] -= vals[idx]
-
-    dfs(0, [0] * n)
-    return best
+    q = math.lcm(*(e.denominator for e in ents))
+    p = [e.numerator * (q // e.denominator) for e in ents]
+    top = math.lcm(*p)
+    best = _partition_search(valuation.item_values, [top // pk for pk in p], 1, _NodeCounter("assignment-nodes"))
+    return Rat(p[i], top) * best
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +395,7 @@ def check_price_certificate(cert: PriceCertificate, valuation: Valuation) -> boo
 
 
 def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bool:
-    b = _check_budget(b)
+    b = check_entitlement(b)
     if not wit.sets or len(wit.sets) != len(wit.weights):
         return False
     if any(w <= 0 for w in wit.weights):
@@ -531,7 +490,7 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     least the share, per-item coverage at most b). Both oracles run
     `_subset_states`: at most min(2^m, v(M) + 1) states at any value scale.
     """
-    b = _check_budget(b)
+    b = check_entitlement(b)
     m = valuation.m
     values = valuation.item_values
     total = valuation.total
@@ -589,8 +548,8 @@ def two_agent_aps_allocation(v1: Valuation, v2: Valuation, b1: Rat, b2: Rat) -> 
     bundle whose complement is worth at least the proportional share, and
     hence the APS, to agent 2.
     """
-    b1 = _check_budget(b1)
-    b2 = _check_budget(b2)
+    b1 = check_entitlement(b1)
+    b2 = check_entitlement(b2)
     if b1 + b2 != 1:
         raise InputError(f"entitlements: sum {rat_to_str(b1 + b2)} != 1")
     if v1.m != v2.m:

@@ -20,6 +20,8 @@ from fairshare import (
     worst_case_adversary,
 )
 from fairshare.oracle import (
+    PARTITION_BRUTE_MAX_AGENTS,
+    PARTITION_BRUTE_MAX_ITEMS,
     aps_brute,
     game_tree_oracle,
     mms_brute,
@@ -27,7 +29,7 @@ from fairshare.oracle import (
     wmms_brute,
 )
 
-from helpers import base_valuation, rand_valuation, unit_items
+from helpers import base_valuation, rand_entitlements, rand_valuation, unit_items
 
 
 def test_aps_brute_values():
@@ -125,5 +127,24 @@ def test_oracles_match_exact_solvers_on_small_randoms():
         weights = [rng.randint(1, 3) for _ in range(n)]
         total = sum(weights)
         ents = [Rat(w, total) for w in weights]
+        i = rng.randrange(n)
+        assert wmms_brute(ents, i, v) == wmms_exact(ents, i, v)
+    # Wider draws after the ones above, which stay unchanged: MMS up to the
+    # brute-force item cap, values to 1000, b with denominators to 7, and
+    # WMMS with up to four agents. The APS and pessimistic oracles walk every
+    # subset or partition for each b or d, so they stop at eight items.
+    for _ in range(16):
+        v = rand_valuation(rng, m_max=PARTITION_BRUTE_MAX_ITEMS, vmax=rng.choice((8, 1000)), m_min=4)
+        parts = rng.randint(2, PARTITION_BRUTE_MAX_AGENTS)
+        assert mms_brute(v, parts) == mms_exact(v, parts)
+        if v.m <= 8:
+            den = rng.randint(2, 7)
+            b = Rat(rng.randint(1, den - 1), den)
+            assert aps_brute(v, b) == aps_exact(v, b).value
+            assert pessimistic_brute(v, b) == pessimistic_share_exact(v, b)
+    for _ in range(12):
+        n = rng.randint(2, PARTITION_BRUTE_MAX_AGENTS)
+        v = rand_valuation(rng, m_max=7, vmax=rng.choice((8, 1000)), m_min=n)
+        ents = rand_entitlements(rng, n)
         i = rng.randrange(n)
         assert wmms_brute(ents, i, v) == wmms_exact(ents, i, v)

@@ -20,10 +20,12 @@ from fairshare import (
     mms_exact,
     pessimistic_share_exact,
     proportional_share,
+    strategy_tps,
     tps,
     two_agent_aps_allocation,
     unit_demand_aps,
     wmms_exact,
+    worst_case_adversary,
 )
 from fairshare.oracle import aps_brute
 from fairshare.shares import _max_affordable_value, _min_price_reaching
@@ -340,7 +342,9 @@ def test_knapsack_guard_counts_states_not_value_scale(monkeypatch):
 
 def test_share_functions_validate_entitlement():
     v = base_valuation()
-    for bad in (Rat(0), Rat(-1, 2), Rat(7, 5)):
+    # Out-of-range rationals, and inexact types: a float (0.4 would enter the
+    # exact arithmetic as 3602879701896397/9007199254740992), a bool, a string.
+    for bad in (Rat(0), Rat(-1, 2), Rat(7, 5), 0.4, 0.5, True, "1/2"):
         with pytest.raises(InputError):
             proportional_share(v, bad)
         with pytest.raises(InputError):
@@ -349,3 +353,7 @@ def test_share_functions_validate_entitlement():
             aps_exact(v, bad)
         with pytest.raises(InputError):
             pessimistic_share_exact(v, bad)
+        with pytest.raises(InputError):
+            worst_case_adversary(v, bad, strategy_tps(v, Rat(2, 5)), (1,))
+    # Plain ints are exact and still accepted.
+    assert proportional_share(v, 1) == v.total

@@ -112,6 +112,23 @@ def test_pessimistic_share_excluded_when_guarded(monkeypatch):
     assert report.agents[0].shares["aps"] is not None
 
 
+def test_pessimistic_share_solves_under_the_default_guard():
+    """Non-unit entitlements on 11-12 items once exhausted the 10^6-node
+    partition guard, so `check_allocation` reported the share as null."""
+    rng = random.Random(20210307)
+    probe = [Valuation(tuple(rng.randint(1, 6) for _ in range(11))) for _ in range(2)]
+    for v in probe:
+        assert check_share_chain(v, Rat(2, 3))["pessimistic"] > 0
+    rng = random.Random(0)
+    values = [[rng.randint(0, 6) for _ in range(12)] for _ in range(4)]
+    for b in (Rat(2, 5), Rat(2, 7)):
+        assert check_share_chain(Valuation(tuple(values[0])), b)["pessimistic"] > 0
+    inst = make_instance(values, [Rat(2, 5), Rat(1, 10), Rat(1, 4), Rat(1, 4)])
+    alloc = Allocation(tuple(tuple(range(i, 12, 4)) for i in range(4)))
+    report = check_allocation(inst, alloc, "arbitrary-entitlements")
+    assert all(a.shares["pessimistic"] is not None for a in report.agents)
+
+
 def test_ce_fixture_verifies():
     inst, bundles, prices = ce_fixture()
     alloc = Allocation(bundles)
