@@ -6,6 +6,11 @@ bid per item taken. A strategy is a stateful object driven through
 `bid`/`select` on read-only views; the engine never trusts it, substituting
 a safe fallback and flagging the transcript on any illegal move.
 
+One engine applies every round: `run_game` plays strategies through it,
+`replay_transcript` re-applies the recorded rounds once each has passed its
+checks, and `worst_case_adversary` plays a focal agent against the pooled
+coalition as the second agent of the same game.
+
 The strategies here carry worst-case guarantees against arbitrary opponent
 coalitions, expressed against the bidder's own share values. `meta_strategy`
 picks the best of them per agent using only game simulations, never a share
@@ -15,7 +20,7 @@ solver.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -122,7 +127,7 @@ class GameTranscript:
         return GameTranscript(rounds, alloc, flags)
 
 
-def _pick_winner(bids: list[Rat], tie_break) -> int:
+def _pick_winner(bids: Sequence[Rat], tie_break) -> int:
     best = max(bids)
     cands = [i for i, x in enumerate(bids) if x == best]
     if tie_break == "lowest":
@@ -134,34 +139,71 @@ def _pick_winner(bids: list[Rat], tie_break) -> int:
     raise InputError(f"tie_break: expected 'lowest' or ('avoid', agent), got {tie_break!r}")
 
 
-def _fallback_take(valuation: Valuation, remaining: Sequence[int]) -> tuple[int, ...]:
-    vals = valuation.item_values
-    return _top_by(lambda j: vals[j], remaining, 1)
+class _Game:
+    """One play of the bidding game. `bid` and `select` get checked moves from
+    strategies, flagging faults; `settle`, the only move that touches
+    budgets, items or bundles, applies a round's outcome."""
 
+    def __init__(self, budgets: Sequence[Rat], valuations: Sequence[Valuation]) -> None:
+        self.budgets = list(budgets)
+        self.total = sum(self.budgets, Rat(0))
+        self.values = [v.item_values for v in valuations]
+        self.remaining = list(range(valuations[0].m))
+        self.bundles: list[list[int]] = [[] for _ in self.budgets]
+        self.rounds: list[RoundRecord] = []
+        self.flags: list[str] = []
+        self.round_no = 1
 
-def _coerce_bid(raw, budget: Rat) -> tuple[Rat, bool]:
-    """Clamp an illegal bid to 0; second result reports whether it was legal."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, Rat)):
-        return Rat(0), False
-    bid = Rat(raw)
-    if not (0 <= bid <= budget):
-        return Rat(0), False
-    return bid, True
+    def _view(self, i: int, winning_bid: Rat | None = None) -> AgentView:
+        return AgentView(
+            self.round_no, tuple(self.remaining), self.budgets[i], self.total, tuple(self.bundles[i]), winning_bid
+        )
 
+    def top(self, i: int) -> tuple[int, ...]:
+        """Agent i's highest-value remaining item."""
+        vals = self.values[i]
+        return _top_by(lambda j: vals[j], self.remaining, 1)
 
-def _legal_selection(taken, remaining: set[int], bid: Rat, budget: Rat) -> tuple[int, ...] | None:
-    if not isinstance(taken, (tuple, list)) or not taken:
-        return None
-    items = tuple(taken)
-    if len(set(items)) != len(items):
-        return None
-    if not set(items) <= remaining:
-        return None
-    if not all(isinstance(j, int) and not isinstance(j, bool) for j in items):
-        return None
-    if bid * len(items) > budget:
-        return None
-    return tuple(sorted(items))
+    def bid(self, i: int, strategy: Strategy) -> Rat:
+        """Agent i's bid; an illegal one is flagged and becomes 0."""
+        raw = strategy.bid(self._view(i))
+        if not isinstance(raw, bool) and isinstance(raw, (int, Rat)) and 0 <= raw <= self.budgets[i]:
+            return Rat(raw)
+        self.flags.append(f"round {self.round_no}: agent {i} bid fault")
+        return Rat(0)
+
+    def select(self, i: int, strategy: Strategy, bid: Rat) -> tuple[int, ...]:
+        """The winner's items, sorted; an illegal selection is flagged and
+        becomes her single highest-value item."""
+        taken = strategy.select(self._view(i, bid))
+        if (
+            isinstance(taken, (tuple, list))
+            and taken
+            and len(set(taken)) == len(taken)
+            and set(taken) <= set(self.remaining)
+            and all(isinstance(j, int) and not isinstance(j, bool) for j in taken)
+            and bid * len(taken) <= self.budgets[i]
+        ):
+            return tuple(sorted(taken))
+        self.flags.append(f"round {self.round_no}: agent {i} selection fault")
+        return self.top(i)
+
+    def settle(self, bids: tuple[Rat, ...], winner: int, taken: tuple[int, ...]) -> None:
+        """The winner pays her bid per item taken and the items leave play."""
+        # Most rounds take one item; skipping `bid * 1` saves a Fraction
+        # product in the adversary sweeps' hot loop.
+        payment = bids[winner] if len(taken) == 1 else bids[winner] * len(taken)
+        self.budgets[winner] -= payment
+        self.total -= payment
+        self.bundles[winner].extend(taken)
+        gone = set(taken)
+        self.remaining = [j for j in self.remaining if j not in gone]
+        self.rounds.append(RoundRecord(bids, winner, taken, payment))
+        self.round_no += 1
+
+    def transcript(self) -> GameTranscript:
+        allocation = Allocation(tuple(tuple(b) for b in self.bundles))
+        return GameTranscript(tuple(self.rounds), allocation, tuple(self.flags))
 
 
 def run_game(
@@ -178,44 +220,15 @@ def run_game(
     """
     if len(strategies) != inst.n:
         raise InputError(f"strategies: expected {inst.n}, got {len(strategies)}")
-    budgets = list(inst.entitlements)
-    paid = Rat(0)
-    remaining = list(range(inst.m))
-    bundles: list[list[int]] = [[] for _ in range(inst.n)]
-    rounds: list[RoundRecord] = []
-    flags: list[str] = []
-    round_no = 0
-    while remaining:
-        round_no += 1
-        total_budget = sum(budgets, Rat(0))
-        views = [
-            AgentView(round_no, tuple(remaining), budgets[i], total_budget, tuple(bundles[i]))
-            for i in range(inst.n)
-        ]
-        bids = []
-        for i in range(inst.n):
-            bid, legal = _coerce_bid(strategies[i].bid(views[i]), budgets[i])
-            if not legal:
-                flags.append(f"round {round_no}: agent {i} bid fault")
-            bids.append(bid)
+    game = _Game(inst.entitlements, inst.valuations)
+    while game.remaining:
+        bids = tuple(game.bid(i, s) for i, s in enumerate(strategies))
         winner = _pick_winner(bids, tie_break)
-        wview = replace(views[winner], winning_bid=bids[winner])
-        taken = _legal_selection(
-            strategies[winner].select(wview), set(remaining), bids[winner], budgets[winner]
-        )
-        if taken is None:
-            flags.append(f"round {round_no}: agent {winner} selection fault")
-            taken = _fallback_take(inst.valuations[winner], remaining)
-        payment = bids[winner] * len(taken)
-        budgets[winner] -= payment
-        paid += payment
-        bundles[winner].extend(taken)
-        remaining = [j for j in remaining if j not in set(taken)]
-        rounds.append(RoundRecord(tuple(bids), winner, taken, payment))
-        if sum(budgets, Rat(0)) + paid != 1:
-            raise AssertionError("budget conservation violated")
-    allocation = Allocation(tuple(tuple(b) for b in bundles))
-    return GameTranscript(tuple(rounds), allocation, tuple(flags))
+        game.settle(bids, winner, game.select(winner, strategies[winner], bids[winner]))
+    paid = sum((r.payment for r in game.rounds), Rat(0))
+    if sum(game.budgets, Rat(0)) + paid != 1:
+        raise AssertionError("budget conservation violated")
+    return game.transcript()
 
 
 def replay_transcript(inst: Instance, transcript: GameTranscript) -> Allocation:
@@ -225,15 +238,13 @@ def replay_transcript(inst: Instance, transcript: GameTranscript) -> Allocation:
     who was not a highest bidder, an illegal selection, or a payment that
     does not equal bid times items taken. Returns the verified allocation.
     """
-    budgets = list(inst.entitlements)
-    remaining = set(range(inst.m))
-    bundles: list[list[int]] = [[] for _ in range(inst.n)]
+    game = _Game(inst.entitlements, inst.valuations)
     for t, r in enumerate(transcript.rounds):
         where = f"transcript.rounds[{t}]"
         if len(r.bids) != inst.n:
             raise InputError(f"{where}: expected {inst.n} bids, got {len(r.bids)}")
         for i, bid in enumerate(r.bids):
-            if not (0 <= bid <= budgets[i]):
+            if not (0 <= bid <= game.budgets[i]):
                 raise InputError(f"{where}.bids[{i}]: {rat_to_str(bid)} outside [0, budget]")
         if not (0 <= r.winner < inst.n):
             raise InputError(f"{where}.winner: agent {r.winner} out of range")
@@ -241,19 +252,17 @@ def replay_transcript(inst: Instance, transcript: GameTranscript) -> Allocation:
             raise InputError(f"{where}.winner: agent {r.winner} did not submit a highest bid")
         if not r.taken:
             raise InputError(f"{where}.taken: empty selection")
-        if len(set(r.taken)) != len(r.taken) or not set(r.taken) <= remaining:
+        if len(set(r.taken)) != len(r.taken) or not set(r.taken) <= set(game.remaining):
             raise InputError(f"{where}.taken: not a set of remaining items")
         expect = r.bids[r.winner] * len(r.taken)
         if r.payment != expect:
             raise InputError(f"{where}.payment: {rat_to_str(r.payment)} != {rat_to_str(expect)}")
-        if expect > budgets[r.winner]:
+        if expect > game.budgets[r.winner]:
             raise InputError(f"{where}.payment: exceeds winner budget")
-        budgets[r.winner] -= expect
-        remaining -= set(r.taken)
-        bundles[r.winner].extend(r.taken)
-    if remaining:
-        raise InputError(f"transcript: items {sorted(remaining)} never allocated")
-    final = Allocation(tuple(tuple(b) for b in bundles))
+        game.settle(r.bids, r.winner, r.taken)
+    if game.remaining:
+        raise InputError(f"transcript: items {game.remaining} never allocated")
+    final = game.transcript().allocation
     if final != transcript.allocation:
         raise InputError("transcript: allocation does not match the replayed rounds")
     return final
@@ -407,7 +416,7 @@ class _Lemma34Strategy(Strategy):
         self.scale = Rat(scale)
         self.stage = 1
         self.prev_full_bid = False
-        self.vhat: dict[int, Rat] | None = None
+        self.vhat: dict[int, Rat] = {}
         self.done = False
         self.last_sel: tuple[int, ...] = ()
 
@@ -447,7 +456,6 @@ class _Lemma34Strategy(Strategy):
                 self.prev_full_bid = False
                 self.last_sel = (top,)
                 return min(x / self.s * self.scale, view.budget)
-        assert self.vhat is not None
         top = _top_by(lambda j: self.vhat.get(j, Rat(0)), rem, 1)[0]
         self.last_sel = (top,)
         xh = self.vhat.get(top, Rat(0))
@@ -570,46 +578,24 @@ def worst_case_adversary(
     if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in wins):
         raise InputError(f"wins: expected 1-based round indices, got {wins!r}")
     winset = set(wins)
-    vals = valuation.item_values
-    budget_a = check_entitlement(b)
-    budget_adv = 1 - budget_a
-    remaining = list(range(valuation.m))
-    bundles: list[list[int]] = [[], []]
-    rounds: list[RoundRecord] = []
-    flags: list[str] = []
-    round_no = 0
-    while remaining:
-        round_no += 1
-        total = budget_a + budget_adv
-        view = AgentView(round_no, tuple(remaining), budget_a, total, tuple(bundles[0]))
-        bid, legal = _coerce_bid(strategy.bid(view), budget_a)
-        if not legal:
-            flags.append(f"round {round_no}: agent 0 bid fault")
-        top = _top_by(lambda j: vals[j], remaining, 1)
-        conceded = round_no in winset
-        if not conceded and budget_adv < bid:
-            flags.append(f"infeasible: coalition cannot outbid {rat_to_str(bid)} at round {round_no}")
+    b = check_entitlement(b)
+    # The coalition is agent 1 of the duel instance (v, v) with entitlements
+    # (b, 1-b). It is not a Strategy: to outbid it needs the agent's checked
+    # bid, which no AgentView shows.
+    game = _Game((b, 1 - b), (valuation, valuation))
+    while game.remaining:
+        bid = game.bid(0, strategy)
+        conceded = game.round_no in winset
+        if not conceded and game.budgets[1] < bid:
+            game.flags.append(f"infeasible: coalition cannot outbid {rat_to_str(bid)} at round {game.round_no}")
             conceded = True
         if conceded and bid > 0:
-            wview = replace(view, winning_bid=bid)
-            taken = _legal_selection(strategy.select(wview), set(remaining), bid, budget_a)
-            if taken is None:
-                flags.append(f"round {round_no}: agent 0 selection fault")
-                taken = top
-            payment = bid * len(taken)
-            budget_a -= payment
-            bundles[0].extend(taken)
-            rounds.append(RoundRecord((bid, Rat(0)), 0, taken, payment))
+            game.settle((bid, Rat(0)), 0, game.select(0, strategy, bid))
         else:
-            # reached with bid <= budget_adv, or with bid == 0 on a
-            # conceded round, where the outbid is free
-            budget_adv -= bid
-            bundles[1].extend(top)
-            rounds.append(RoundRecord((bid, bid), 1, top, bid))
-            taken = top
-        remaining = [j for j in remaining if j not in set(taken)]
-    allocation = Allocation((tuple(bundles[0]), tuple(bundles[1])))
-    return GameTranscript(tuple(rounds), allocation, tuple(flags))
+            # reached with bid <= the coalition's budget, or with bid == 0 on
+            # a conceded round, where the outbid is free
+            game.settle((bid, bid), 1, game.top(0))
+    return game.transcript()
 
 
 def test_z_good(valuation: Valuation, b: Rat, z: int) -> bool:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 a verified bound failed, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -386,6 +387,8 @@ def _maybe_write_transcript(args, transcript) -> None:
             json.dump(transcript.to_json_dict(), fh, indent=2)
 
 
+# Built on the first `main` call; parsing leaves it unchanged, so it is reused.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairshare",

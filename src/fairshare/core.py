@@ -97,6 +97,10 @@ class Valuation:
         """Item indices sorted by value descending, ties by index ascending."""
         return sorted(range(self.m), key=lambda j: (-self.item_values[j], j))
 
+    def __deepcopy__(self, memo) -> "Valuation":
+        # Frozen ints only: a deep copy, as in Strategy.clone, shares it.
+        return self
+
 
 def check_entitlement(b: Rat, path: str = "entitlement") -> Rat:
     """An entitlement as an exact rational 0 < b <= 1. Plain ints are

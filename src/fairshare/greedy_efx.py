@@ -83,7 +83,8 @@ def _resolve(bundles: list[list[int]], inst: Instance) -> list[list[int]]:
             return rotations
         _rotate(bundles, cycle)
         rotations.append(cycle)
-        assert len(rotations) <= cap, "envy rotation failed to terminate"
+        if len(rotations) > cap:
+            raise AssertionError("envy rotation failed to terminate")
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
@@ -117,7 +118,8 @@ def _assert_efx(bundles: list[list[int]], inst: Instance) -> None:
             if i == j or not bundles[j]:
                 continue
             reduced = inst.agent_value(i, bundles[j][:-1])
-            assert reduced <= own, f"EFX invariant broken for pair ({i}, {j})"
+            if reduced > own:
+                raise AssertionError(f"EFX invariant broken for pair ({i}, {j})")
 
 
 def greedy_efx(inst: Instance) -> tuple[Allocation, list[dict]]:
@@ -138,12 +140,12 @@ def greedy_efx(inst: Instance) -> tuple[Allocation, list[dict]]:
         adj = _envy_adjacency(bundles, inst)
         envied = {j for i in range(inst.n) for j in adj[i]}
         eligible = [i for i in range(inst.n) if i not in envied]
-        assert eligible, "acyclic envy graph must leave someone unenvied"
+        if not eligible:
+            raise AssertionError("acyclic envy graph must leave someone unenvied")
         winner = _choose(eligible, prefer)
         bundles[winner].append(item)
         trace.append({"item": item, "to": winner, "rotations": rotations})
-        if __debug__:
-            _assert_efx(bundles, inst)
+        _assert_efx(bundles, inst)
     return Allocation(tuple(tuple(b) for b in bundles)), trace
 
 

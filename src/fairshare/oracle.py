@@ -9,7 +9,7 @@ keep the blowup in check; these functions are for cross-checking, not use.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from typing import Sequence
 
 from .bidding import AgentView, Strategy
@@ -174,25 +174,28 @@ def mms_brute(valuation: Valuation, n_parts: int) -> int:
 
 
 def pessimistic_brute(valuation: Valuation, b: Rat) -> int:
-    """Best l-out-of-d value over every pair with l/d <= b and d up to m."""
+    """Best l-out-of-d value over every pair with l/d <= b and d up to m.
+
+    One pass over the set partitions serves every d >= k, the number of
+    non-empty parts, padding with d - k empty ones. Values are non-negative,
+    so the largest l with l/d <= b is best."""
     b = _check_budget(b)
     m = valuation.m
     if m > PARTITION_BRUTE_MAX_ITEMS:
         raise GuardError("partition-brute-items", PARTITION_BRUTE_MAX_ITEMS, m)
     vals = list(valuation.item_values)
+    most = [b.numerator * d // b.denominator for d in range(m + 1)]
     best = 0
-    for d in range(1, m + 1):
-        cap = min(d, m)
-        for assign in _canonical_assignments(m, cap):
-            sums = [0] * cap + [0] * (d - cap)
-            for j, p in enumerate(assign):
-                sums[p] += vals[j]
-            sums.sort()
-            running = 0
-            for l in range(1, d + 1):
-                running += sums[l - 1]
-                if Rat(l, d) <= b and running > best:
-                    best = running
+    for assign in _canonical_assignments(m, m):
+        k = max(assign) + 1 if assign else 0
+        sums = [0] * k
+        for j, p in enumerate(assign):
+            sums[p] += vals[j]
+        prefix = list(accumulate(sorted(sums), initial=0))
+        for d in range(max(k, 1), m + 1):
+            nonempty = most[d] - (d - k)
+            if nonempty > 0 and prefix[nonempty] > best:
+                best = prefix[nonempty]
     return best
 
 

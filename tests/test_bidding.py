@@ -5,9 +5,11 @@ import random
 import pytest
 
 from fairshare import (
+    Allocation,
     GameTranscript,
     InputError,
     Rat,
+    RoundRecord,
     Valuation,
     best_good_z,
     enumerate_win_patterns,
@@ -159,6 +161,138 @@ def test_replay_rejects_tampering():
     doc["rounds"][0]["bids"][t.rounds[0].winner] = "0"
     with pytest.raises(InputError):
         replay_transcript(inst, GameTranscript.from_json_dict(doc))
+
+
+def _duel_transcript(rounds, allocation=((0,), (1, 2))) -> GameTranscript:
+    return GameTranscript(tuple(RoundRecord(*r) for r in rounds), Allocation(allocation), ())
+
+
+# Two equal agents over three items: agent 0 buys item 0 at 1/2, then agent 1
+# buys items 1 and 2 at 1/4 each, spending both budgets exactly.
+_LEGAL_ROUNDS = (
+    ((Rat(1, 2), Rat(1, 4)), 0, (0,), Rat(1, 2)),
+    ((Rat(0), Rat(1, 4)), 1, (1, 2), Rat(1, 2)),
+)
+_SECOND = _LEGAL_ROUNDS[1]
+
+
+@pytest.mark.parametrize(
+    "transcript, message",
+    [
+        (
+            _duel_transcript([((Rat(1, 2),), 0, (0,), Rat(1, 2)), _SECOND]),
+            "transcript.rounds[0]: expected 2 bids, got 1",
+        ),
+        (
+            _duel_transcript([((Rat(1, 2), Rat(3, 5)), 1, (0,), Rat(3, 5)), _SECOND]),
+            "transcript.rounds[0].bids[1]: 3/5 outside [0, budget]",
+        ),
+        (
+            _duel_transcript([((Rat(1, 2), Rat(-1, 4)), 0, (0,), Rat(1, 2)), _SECOND]),
+            "transcript.rounds[0].bids[1]: -1/4 outside [0, budget]",
+        ),
+        (
+            _duel_transcript([((Rat(1, 2), Rat(1, 4)), 2, (0,), Rat(1, 2)), _SECOND]),
+            "transcript.rounds[0].winner: agent 2 out of range",
+        ),
+        (
+            _duel_transcript([((Rat(1, 2), Rat(1, 4)), 1, (0,), Rat(1, 4)), _SECOND]),
+            "transcript.rounds[0].winner: agent 1 did not submit a highest bid",
+        ),
+        (
+            _duel_transcript([((Rat(1, 2), Rat(1, 4)), 0, (), Rat(0)), _SECOND]),
+            "transcript.rounds[0].taken: empty selection",
+        ),
+        (
+            _duel_transcript([((Rat(1, 2), Rat(1, 4)), 0, (3,), Rat(1, 2)), _SECOND]),
+            "transcript.rounds[0].taken: not a set of remaining items",
+        ),
+        (
+            _duel_transcript([_LEGAL_ROUNDS[0], ((Rat(0), Rat(1, 4)), 1, (0, 1), Rat(1, 2))]),
+            "transcript.rounds[1].taken: not a set of remaining items",
+        ),
+        (
+            _duel_transcript([_LEGAL_ROUNDS[0], ((Rat(0), Rat(1, 4)), 1, (1, 1), Rat(1, 2))]),
+            "transcript.rounds[1].taken: not a set of remaining items",
+        ),
+        (
+            _duel_transcript([((Rat(1, 2), Rat(1, 4)), 0, (0,), Rat(1)), _SECOND]),
+            "transcript.rounds[0].payment: 1 != 1/2",
+        ),
+        (
+            _duel_transcript([((Rat(1, 2), Rat(1, 4)), 0, (0, 1), Rat(1)), _SECOND]),
+            "transcript.rounds[0].payment: exceeds winner budget",
+        ),
+        (
+            _duel_transcript([_LEGAL_ROUNDS[0], ((Rat(0), Rat(1, 4)), 1, (1,), Rat(1, 4))]),
+            "transcript: items [2] never allocated",
+        ),
+        (
+            _duel_transcript(_LEGAL_ROUNDS, allocation=((0, 1), (2,))),
+            "transcript: allocation does not match the replayed rounds",
+        ),
+    ],
+)
+def test_replay_rejection_texts(transcript, message):
+    inst = make_instance([[3, 2, 1], [3, 2, 1]], [Rat(1, 2), Rat(1, 2)])
+    assert replay_transcript(inst, _duel_transcript(_LEGAL_ROUNDS)) == Allocation(((0,), (1, 2)))
+    with pytest.raises(InputError) as exc:
+        replay_transcript(inst, transcript)
+    assert str(exc.value) == message
+
+
+def test_adversary_transcripts_replay_on_the_duel_instance():
+    # The adversary plays the coalition as agent 1 of the duel instance
+    # (v, v) with entitlements (b, 1-b); every line it plays, infeasible ones
+    # included, must be a legal game there.
+    rng = random.Random(29)
+    replayed = infeasible = 0
+    for _ in range(60):
+        v = rand_valuation(rng, m_max=6, vmax=8)
+        den = rng.randint(2, 6)
+        b = Rat(rng.randint(1, den - 1), den)
+        inst = make_instance([list(v.item_values)] * 2, [b, 1 - b])
+        z = rng.randint(0, v.total)
+        makers = [
+            lambda: strategy_tps(v, b),
+            lambda: strategy_rank_item(v, b),
+            lambda: strategy_aps35(v, b, z),
+            lambda: strategy_lemma34(v, b, z),
+            lambda: strategy_bid_max_value(v, b),
+        ]
+        for make in makers:
+            for wins in enumerate_win_patterns(v.m):
+                t = worst_case_adversary(v, b, make(), wins)
+                assert replay_transcript(inst, t) == t.allocation, (v, b, z, wins)
+                replayed += 1
+                infeasible += t.infeasible
+    assert replayed == 3145
+    assert infeasible == 1723
+
+
+class _FaultyDuelist(Strategy):
+    """Bids a float in round 1, 1/4 with an empty selection in round 2, then 0."""
+
+    def bid(self, view):
+        return {1: 0.25, 2: Rat(1, 4)}.get(view.round_no, Rat(0))
+
+    def select(self, view):
+        return ()
+
+
+def test_adversary_faults_use_the_run_game_texts():
+    v = Valuation((1, 5, 3))
+    b = Rat(1, 2)
+    expected = ("round 1: agent 0 bid fault", "round 2: agent 0 selection fault")
+    t = worst_case_adversary(v, b, _FaultyDuelist(), (2,))
+    assert t.flags == expected
+    # the faulty bid became 0 and the faulty pick her top remaining item
+    assert t.rounds[0] == RoundRecord((Rat(0), Rat(0)), 1, (1,), Rat(0))
+    assert t.rounds[1] == RoundRecord((Rat(1, 4), Rat(0)), 0, (2,), Rat(1, 4))
+    inst = make_instance([[1, 5, 3], [1, 5, 3]], [b, 1 - b])
+    t = run_game(inst, [_FaultyDuelist(), strategy_zero(inst.valuations[1])], tie_break=("avoid", 0))
+    assert t.flags == expected
+    assert t.rounds[1].taken == (2,)
 
 
 def test_strategy_clone_is_independent():

@@ -131,8 +131,8 @@ def test_oracles_match_exact_solvers_on_small_randoms():
         assert wmms_brute(ents, i, v) == wmms_exact(ents, i, v)
     # Wider draws after the ones above, which stay unchanged: MMS up to the
     # brute-force item cap, values to 1000, b with denominators to 7, and
-    # WMMS with up to four agents. The APS and pessimistic oracles walk every
-    # subset or partition for each b or d, so they stop at eight items.
+    # WMMS with up to four agents. The APS oracle walks every subset for each
+    # b, so it stops at eight items; the pessimistic draws go on below.
     for _ in range(16):
         v = rand_valuation(rng, m_max=PARTITION_BRUTE_MAX_ITEMS, vmax=rng.choice((8, 1000)), m_min=4)
         parts = rng.randint(2, PARTITION_BRUTE_MAX_AGENTS)
@@ -148,3 +148,10 @@ def test_oracles_match_exact_solvers_on_small_randoms():
         ents = rand_entitlements(rng, n)
         i = rng.randrange(n)
         assert wmms_brute(ents, i, v) == wmms_exact(ents, i, v)
+    # The pessimistic oracle walks the partitions once for every d, so it
+    # reaches the brute-force item cap.
+    for _ in range(4):
+        v = rand_valuation(rng, m_max=PARTITION_BRUTE_MAX_ITEMS, vmax=rng.choice((8, 1000)), m_min=9)
+        den = rng.randint(2, 7)
+        b = Rat(rng.randint(1, den - 1), den)
+        assert pessimistic_brute(v, b) == pessimistic_share_exact(v, b)
