@@ -9,7 +9,10 @@ a safe fallback and flagging the transcript on any illegal move.
 One engine applies every round: `run_game` plays strategies through it,
 `replay_transcript` re-applies the recorded rounds once each has passed its
 checks, and `worst_case_adversary` plays a focal agent against the pooled
-coalition as the second agent of the same game.
+coalition as the second agent of the same game. `worst_case_sweep` plays
+every concession pattern against that coalition as one prefix tree: a line
+forks a copy of the game and of the strategy wherever the coalition may
+still concede, so rounds shared by several patterns are played once.
 
 The strategies here carry worst-case guarantees against arbitrary opponent
 coalitions, expressed against the bidder's own share values. `meta_strategy`
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     Allocation,
@@ -33,7 +36,7 @@ from .core import (
     rat_from_str,
     rat_to_str,
 )
-from .shares import _rank_item_value, tps
+from .shares import _json_int, _json_list, _rank_item_value, tps
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,10 @@ class Strategy:
     `bid` is called once per round; `select` only on the round's winner, with
     `winning_bid` filled in. Implementations are deterministic and keep any
     state they need on plain attributes so they can be cloned for tree
-    search.
+    search. A clone taken at any point, mid-game included, must continue
+    exactly as the original would from there: `worst_case_sweep` clones a
+    strategy after its bid in a round and plays the clone on the branch
+    where the coalition concedes that round.
     """
 
     def bid(self, view: AgentView) -> Rat:
@@ -108,23 +114,35 @@ class GameTranscript:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "GameTranscript":
+        """Parse `to_json_dict` output. Item indices and winners must be JSON
+        integers, bids and payments rational strings, flags strings; anything
+        else raises InputError naming the field."""
         try:
             rounds = tuple(
                 RoundRecord(
-                    bids=tuple(rat_from_str(x, f"rounds[{t}].bids[{i}]") for i, x in enumerate(r["bids"])),
-                    winner=int(r["winner"]),
-                    taken=tuple(sorted(int(j) for j in r["taken"])),
+                    bids=tuple(
+                        rat_from_str(x, f"rounds[{t}].bids[{i}]")
+                        for i, x in enumerate(_json_list(r["bids"], f"rounds[{t}].bids"))
+                    ),
+                    winner=_json_int(r["winner"], f"rounds[{t}].winner"),
+                    taken=tuple(sorted(_json_items(r["taken"], f"rounds[{t}].taken"))),
                     payment=rat_from_str(r["payment"], f"rounds[{t}].payment"),
                 )
-                for t, r in enumerate(doc["rounds"])
+                for t, r in enumerate(_json_list(doc["rounds"], "rounds"))
             )
-            alloc = Allocation(tuple(tuple(int(j) for j in b) for b in doc["allocation"]))
-            flags = tuple(str(f) for f in doc.get("flags", []))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
+            bundles = _json_list(doc["allocation"], "allocation")
+            alloc = Allocation(tuple(_json_items(bundle, f"allocation[{k}]") for k, bundle in enumerate(bundles)))
+            flags = tuple(_json_list(doc.get("flags", []), "flags"))
+        except (KeyError, TypeError) as exc:
             raise InputError(f"transcript: malformed: {exc}") from None
+        for i, flag in enumerate(flags):
+            if not isinstance(flag, str):
+                raise InputError(f"flags[{i}]: expected a string, got {flag!r}")
         return GameTranscript(rounds, alloc, flags)
+
+
+def _json_items(value, path: str) -> tuple[int, ...]:
+    return tuple(_json_int(j, f"{path}[{i}]") for i, j in enumerate(_json_list(value, path)))
 
 
 def _pick_winner(bids: Sequence[Rat], tie_break) -> int:
@@ -200,6 +218,16 @@ class _Game:
         self.remaining = [j for j in self.remaining if j not in gone]
         self.rounds.append(RoundRecord(bids, winner, taken, payment))
         self.round_no += 1
+
+    def fork(self) -> "_Game":
+        """An independent copy of the play so far; only the values are shared."""
+        twin = copy.copy(self)
+        twin.budgets = self.budgets[:]
+        twin.remaining = self.remaining[:]
+        twin.bundles = [bundle[:] for bundle in self.bundles]
+        twin.rounds = self.rounds[:]
+        twin.flags = self.flags[:]
+        return twin
 
     def transcript(self) -> GameTranscript:
         allocation = Allocation(tuple(tuple(b) for b in self.bundles))
@@ -562,6 +590,28 @@ def enumerate_win_patterns(m: int) -> list[tuple[int, ...]]:
     return pats
 
 
+def _coalition_round(game: _Game, strategy: Strategy, bid: Rat, concede: bool) -> None:
+    """Settle one round against the coalition, agent 1 of `game`, by the rule
+    `worst_case_adversary` states."""
+    if not concede and game.budgets[1] < bid:
+        game.flags.append(f"infeasible: coalition cannot outbid {rat_to_str(bid)} at round {game.round_no}")
+        concede = True
+    if concede and bid > 0:
+        game.settle((bid, Rat(0)), 0, game.select(0, strategy, bid))
+    else:
+        # reached with bid <= the coalition's budget, or with bid == 0 on a
+        # conceded round, where the outbid is free
+        game.settle((bid, bid), 1, game.top(0))
+
+
+def _duel(valuation: Valuation, b: Rat) -> _Game:
+    # The coalition is agent 1 of the duel instance (v, v) with entitlements
+    # (b, 1-b). It is not a Strategy: to outbid it needs the agent's checked
+    # bid, which no AgentView shows.
+    b = check_entitlement(b)
+    return _Game((b, 1 - b), (valuation, valuation))
+
+
 def worst_case_adversary(
     valuation: Valuation, b: Rat, strategy: Strategy, wins: Sequence[int]
 ) -> GameTranscript:
@@ -578,39 +628,60 @@ def worst_case_adversary(
     if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in wins):
         raise InputError(f"wins: expected 1-based round indices, got {wins!r}")
     winset = set(wins)
-    b = check_entitlement(b)
-    # The coalition is agent 1 of the duel instance (v, v) with entitlements
-    # (b, 1-b). It is not a Strategy: to outbid it needs the agent's checked
-    # bid, which no AgentView shows.
-    game = _Game((b, 1 - b), (valuation, valuation))
+    game = _duel(valuation, b)
     while game.remaining:
         bid = game.bid(0, strategy)
-        conceded = game.round_no in winset
-        if not conceded and game.budgets[1] < bid:
-            game.flags.append(f"infeasible: coalition cannot outbid {rat_to_str(bid)} at round {game.round_no}")
-            conceded = True
-        if conceded and bid > 0:
-            game.settle((bid, Rat(0)), 0, game.select(0, strategy, bid))
-        else:
-            # reached with bid <= the coalition's budget, or with bid == 0 on
-            # a conceded round, where the outbid is free
-            game.settle((bid, bid), 1, game.top(0))
+        _coalition_round(game, strategy, bid, game.round_no in winset)
     return game.transcript()
+
+
+def worst_case_sweep(
+    valuation: Valuation, b: Rat, strategy: Strategy
+) -> Iterator[tuple[tuple[int, ...], GameTranscript]]:
+    """Yield `(wins, worst_case_adversary(valuation, b, strategy, wins))` once
+    for every pattern of `enumerate_win_patterns(valuation.m)`, lazily.
+
+    The patterns are played as one prefix tree. A line is the play under one
+    set of concessions; `strategy` plays the no-concession line, so pass an
+    unplayed one. In each round of a line with fewer than two concessions
+    the agent bids once, and a copy of the game and a clone of the strategy
+    play on as the branch where the coalition concedes that round. A round
+    bid at 0 is not forked, since conceding it settles the same round as
+    outbidding; a pattern that concedes such a round, or one after the
+    line's last round, is yielded with that line's transcript.
+    """
+    lines = [(_duel(valuation, b), strategy, [()])]
+    while lines:
+        game, strat, patterns = lines.pop()
+        while game.remaining:
+            bid = game.bid(0, strat)
+            conceding = [p + (game.round_no,) for p in patterns if len(p) < 2]
+            if bid == 0:
+                patterns += conceding
+            elif conceding:
+                twin, twin_strat = game.fork(), strat.clone()
+                _coalition_round(twin, twin_strat, bid, True)
+                lines.append((twin, twin_strat, conceding))
+            _coalition_round(game, strat, bid, False)
+        for r in range(game.round_no, valuation.m + 1):
+            patterns += [p + (r,) for p in patterns if len(p) < 2]
+        transcript = game.transcript()
+        for wins in patterns:
+            yield wins, transcript
 
 
 def test_z_good(valuation: Valuation, b: Rat, z: int) -> bool:
     """True when the three-step strategy at target z secures 3z/5 against
     every concession pattern, including the lines where the coalition goes
-    broke and concedes the remaining rounds by force."""
+    broke and concedes the remaining rounds by force. Stops at the first
+    line that falls short."""
     if z <= 0:
         return True
     target = Rat(3, 5) * z
-    for wins in enumerate_win_patterns(valuation.m):
-        strat = strategy_aps35(valuation, b, z)
-        t = worst_case_adversary(valuation, b, strat, wins)
-        if valuation.value(t.allocation.bundles[0]) < target:
-            return False
-    return True
+    return all(
+        valuation.value(t.allocation.bundles[0]) >= target
+        for _, t in worst_case_sweep(valuation, b, strategy_aps35(valuation, b, z))
+    )
 
 
 def best_good_z(valuation: Valuation, b: Rat) -> int:

@@ -31,6 +31,7 @@ from .bidding import (
     strategy_tps,
     strategy_zero,
     worst_case_adversary,
+    worst_case_sweep,
 )
 from .core import (
     Allocation,
@@ -312,17 +313,17 @@ def cmd_game(args) -> int:
         b = inst.entitlements[focal]
         name, z = specs.get(focal, ("meta", None))
         if args.adversary == "worst":
-            # Strategies are deterministic and this one is unplayed, so a clone
-            # per pattern plays exactly as a fresh build would, without
-            # re-running meta's or aps35's simulation search each time.
-            proto = _make_strategy(name, z, v, b)
+            # One build plays the whole sweep, so meta's or aps35's simulation
+            # search runs once. The lines are read in pattern order, so a tie
+            # reports the first pattern reaching the minimum.
+            lines = dict(worst_case_sweep(v, b, _make_strategy(name, z, v, b)))
             worst_value = None
             worst_pattern = None
             worst_transcript = None
             feasible = 0
             patterns = enumerate_win_patterns(inst.m)
             for wins in patterns:
-                t = worst_case_adversary(v, b, proto.clone(), wins)
+                t = lines[wins]
                 if not t.infeasible:
                     feasible += 1
                 got = v.value(t.allocation.bundles[0])

@@ -26,9 +26,11 @@ from fairshare import (
     strategy_zero,
     tps,
     worst_case_adversary,
+    worst_case_sweep,
 )
 from fairshare import test_z_good as z_goodness
 from fairshare.bidding import Strategy, _Aps35Strategy, _RankItemStrategy, _TpsStrategy
+from fairshare.cli import _make_strategy
 from fairshare.shares import aps_exact
 
 from helpers import (
@@ -293,6 +295,56 @@ def test_adversary_faults_use_the_run_game_texts():
     t = run_game(inst, [_FaultyDuelist(), strategy_zero(inst.valuations[1])], tie_break=("avoid", 0))
     assert t.flags == expected
     assert t.rounds[1].taken == (2,)
+
+
+def _z_good_reference(v, b, z) -> bool:
+    """`test_z_good` as a fresh three-step build per concession pattern."""
+    target = Rat(3, 5) * z
+    return z <= 0 or all(
+        v.value(worst_case_adversary(v, b, strategy_aps35(v, b, z), wins).allocation.bundles[0]) >= target
+        for wins in enumerate_win_patterns(v.m)
+    )
+
+
+def test_sweep_matches_one_fresh_game_per_pattern():
+    # The sweep forks lines mid-game, folds bid-0 rounds into the line that
+    # outbids them and hands a line's transcript to patterns conceding past
+    # its last round; each pattern must still get exactly the transcript a
+    # fresh build playing it alone gets, flags included.
+    rng = random.Random(47)
+    seen = {"patterns": 0, "folded": 0, "past_end": 0, "infeasible": 0, "two_item": 0, "good": 0, "bad": 0}
+    for _ in range(40):
+        v = rand_valuation(rng, m_max=7, vmax=8)
+        den = rng.randint(2, 6)
+        b = Rat(rng.randint(1, den - 1), den)
+        z = rng.randint(1, max(1, v.total))
+        specs = [("zero", None), ("tps", None), ("rank", None), ("maxval", None), ("maxval-tps", None)]
+        specs += [("lemma34", z), ("aps35", z), ("aps35-alt", z)]
+        makers = [lambda name=name, z=z: _make_strategy(name, z, v, b) for name, z in specs]
+        for make in makers + [_FaultyDuelist]:
+            lines = list(worst_case_sweep(v, b, make()))
+            assert sorted(wins for wins, _ in lines) == sorted(enumerate_win_patterns(v.m))
+            for wins, t in lines:
+                assert t.to_json_dict() == worst_case_adversary(v, b, make(), wins).to_json_dict(), (v, b, wins)
+                seen["patterns"] += 1
+                seen["folded"] += any(k <= len(t.rounds) and t.rounds[k - 1].bids[0] == 0 for k in wins)
+                seen["past_end"] += any(k > len(t.rounds) for k in wins)
+                seen["infeasible"] += t.infeasible
+                seen["two_item"] += any(len(r.taken) == 2 for r in t.rounds)
+        best = best_good_z(v, b)
+        for target in {z, best, best + 1}:
+            good = z_goodness(v, b, target)
+            assert good == _z_good_reference(v, b, target), (v, b, target)
+            seen["good" if good else "bad"] += 1
+    assert seen == {
+        "patterns": 4446,
+        "folded": 2524,
+        "past_end": 153,
+        "infeasible": 2019,
+        "two_item": 492,
+        "good": 75,
+        "bad": 41,
+    }
 
 
 def test_strategy_clone_is_independent():

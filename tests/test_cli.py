@@ -8,9 +8,9 @@ import pytest
 
 import fairshare.bidding
 import fairshare.cli
-from fairshare.bidding import enumerate_win_patterns, worst_case_adversary
+from fairshare.bidding import GameTranscript, Strategy, _Game, enumerate_win_patterns, worst_case_adversary
 from fairshare.cli import STRATEGIES, _make_strategy, main
-from fairshare.core import parse_instance
+from fairshare.core import InputError, parse_instance
 
 BASE_EXAMPLE = {
     "agents": [
@@ -299,6 +299,81 @@ def test_game_replay_rejects_foreign_transcript(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["game", other, "--replay", out_path])
     assert code == 2
     assert "transcript" in err
+
+
+_TAMPERED = [
+    (("rounds", 0, "winner"), 1.9, "rounds[0].winner"),
+    (("rounds", 0, "winner"), "1", "rounds[0].winner"),
+    (("rounds", 0, "winner"), True, "rounds[0].winner"),
+    (("rounds", 0, "taken"), [0.0], "rounds[0].taken[0]"),
+    (("rounds", 0, "taken"), ["0"], "rounds[0].taken[0]"),
+    (("rounds", 0, "taken"), [False], "rounds[0].taken[0]"),
+    (("rounds", 0, "bids"), "111", "rounds[0].bids"),
+    (("allocation", 0), [0.0], "allocation[0][0]"),
+    (("allocation", 0), ["0"], "allocation[0][0]"),
+    (("allocation", 0), [False], "allocation[0][0]"),
+    (("allocation",), "abc", "allocation"),
+    (("flags",), "abc", "flags"),
+    (("flags",), [1], "flags[0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, field", _TAMPERED, ids=[f"{field}={value!r}" for _, value, field in _TAMPERED]
+)
+def test_transcript_fields_must_have_their_json_types(tmp_path, capsys, key, value, field):
+    # Winners and item indices are JSON integers, never floats, strings or
+    # bools, and flags a list of strings, as in the share certificates.
+    units = write(tmp_path, "units.json", FIVE_UNITS)
+    out_path = str(tmp_path / "transcript.json")
+    assert run_cli(capsys, ["game", units, "--strategies", "0=tps,1=tps,2=tps", "--transcript", out_path])[0] == 0
+    with open(out_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    node = doc
+    for k in key[:-1]:
+        node = node[k]
+    node[key[-1]] = value
+    with pytest.raises(InputError) as exc:
+        GameTranscript.from_json_dict(doc)
+    assert str(exc.value).startswith(f"{field}: expected ")
+    bad = write(tmp_path, "tampered.json", doc)
+    code, out, err = run_cli(capsys, ["game", units, "--replay", bad])
+    assert (code, out) == (2, None)
+    assert f"{field}: expected " in err
+
+
+def test_game_worst_sweep_work_counts(tmp_path, capsys, monkeypatch):
+    # The sweep plays each round shared by several concession patterns once,
+    # forking the game and a strategy clone only where the coalition may
+    # still concede a positively bid round. Playing every pattern from round
+    # 1 instead settles 69 rounds with 16 clones on the first instance, and
+    # 624 with 22 on the second (meta's z search included).
+    counts = {"settle": 0, "clone": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(_Game, "settle", counting("settle", _Game.settle))
+    monkeypatch.setattr(Strategy, "clone", counting("clone", Strategy.clone))
+    six = {
+        "agents": [
+            {"entitlement": "2/5", "values": [5, 4, 4, 3, 1, 1]},
+            {"entitlement": "3/5", "values": [1, 1, 3, 4, 4, 5]},
+        ]
+    }
+    cases = [
+        (write(tmp_path, "base.json", BASE_EXAMPLE), "0=aps35:2", {"settle": 14, "clone": 3}),
+        (write(tmp_path, "six.json", six), "0=meta", {"settle": 112, "clone": 25}),
+    ]
+    for path, spec, expected in cases:
+        counts.update(settle=0, clone=0)
+        code, _, _ = run_cli(capsys, ["game", path, "--adversary", "worst", "--strategies", spec])
+        assert code == 0
+        assert counts == expected, spec
 
 
 def test_game_strategy_spec_errors(tmp_path, capsys):
