@@ -17,7 +17,10 @@ still concede, so rounds shared by several patterns are played once.
 The strategies here carry worst-case guarantees against arbitrary opponent
 coalitions, expressed against the bidder's own share values. `meta_strategy`
 picks the best of them per agent using only game simulations, never a share
-solver.
+solver. Every item choice, the engine's fallback included, follows one rule:
+highest value first (plain or capped), ties to the lowest index. Each
+strategy ranks its items once, when it builds the values it ranks, and then
+takes the first remaining items of that ranking (`_first`).
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ class Strategy:
     exactly as the original would from there: `worst_case_sweep` clones a
     strategy after its bid in a round and plays the clone on the branch
     where the coalition concedes that round.
+
+    A strategy that plays a sub-game is given the sub-game's universe, the
+    items remaining when it starts; every item it later sees remaining lies
+    in that universe.
     """
 
     def bid(self, view: AgentView) -> Rat:
@@ -73,10 +80,23 @@ class Strategy:
         return copy.deepcopy(self)
 
 
-def _top_by(scores, remaining: Sequence[int], count: int = 1) -> tuple[int, ...]:
-    """Highest-scoring items, ties to the lowest index."""
-    ordered = sorted(remaining, key=lambda j: (-scores(j), j))
-    return tuple(ordered[:count])
+class _Ranking(tuple):
+    """Item indices in a fixed order. Immutable, so clones share it."""
+
+    def __deepcopy__(self, memo) -> "_Ranking":
+        return self
+
+
+def _ranking(scores, items) -> _Ranking:
+    """`items` by score descending, ties to the lowest index: the order
+    `Valuation.ranked_items` gives plain values."""
+    return _Ranking(sorted(items, key=lambda j: (-scores[j], j)))
+
+
+def _first(ranking: Sequence[int], remaining: Sequence[int], count: int = 1) -> tuple[int, ...]:
+    """The first `count` items of `ranking` still in `remaining`."""
+    left = set(remaining)
+    return tuple(j for j in ranking if j in left)[:count]
 
 
 @dataclass(frozen=True)
@@ -145,16 +165,11 @@ def _json_items(value, path: str) -> tuple[int, ...]:
     return tuple(_json_int(j, f"{path}[{i}]") for i, j in enumerate(_json_list(value, path)))
 
 
-def _pick_winner(bids: Sequence[Rat], tie_break) -> int:
+def _pick_winner(bids: Sequence[Rat], avoid) -> int:
+    """The lowest-indexed highest bidder other than agent `avoid`, or `avoid`
+    when she alone bid highest."""
     best = max(bids)
-    cands = [i for i, x in enumerate(bids) if x == best]
-    if tie_break == "lowest":
-        return cands[0]
-    if isinstance(tie_break, tuple) and len(tie_break) == 2 and tie_break[0] == "avoid":
-        focal = tie_break[1]
-        others = [i for i in cands if i != focal]
-        return others[0] if others else focal
-    raise InputError(f"tie_break: expected 'lowest' or ('avoid', agent), got {tie_break!r}")
+    return next((i for i, x in enumerate(bids) if x == best and i != avoid), bids.index(best))
 
 
 class _Game:
@@ -165,7 +180,7 @@ class _Game:
     def __init__(self, budgets: Sequence[Rat], valuations: Sequence[Valuation]) -> None:
         self.budgets = list(budgets)
         self.total = sum(self.budgets, Rat(0))
-        self.values = [v.item_values for v in valuations]
+        self.rankings = [v.ranked_items() for v in valuations]
         self.remaining = list(range(valuations[0].m))
         self.bundles: list[list[int]] = [[] for _ in self.budgets]
         self.rounds: list[RoundRecord] = []
@@ -179,8 +194,7 @@ class _Game:
 
     def top(self, i: int) -> tuple[int, ...]:
         """Agent i's highest-value remaining item."""
-        vals = self.values[i]
-        return _top_by(lambda j: vals[j], self.remaining, 1)
+        return _first(self.rankings[i], self.remaining)
 
     def bid(self, i: int, strategy: Strategy) -> Rat:
         """Agent i's bid; an illegal one is flagged and becomes 0."""
@@ -244,14 +258,18 @@ def run_game(
     Budgets start at the entitlements (which sum to 1); every round consumes
     at least one item, so the game ends within m rounds. Strategy faults are
     flagged, never fatal: an illegal bid becomes 0 and an illegal selection
-    becomes the winner's single highest-value item.
+    becomes the winner's single highest-value item. Ties go to the lowest
+    index; `tie_break=("avoid", i)` passes them over agent i when it can.
     """
     if len(strategies) != inst.n:
         raise InputError(f"strategies: expected {inst.n}, got {len(strategies)}")
+    avoid = tie_break[1] if isinstance(tie_break, tuple) and len(tie_break) == 2 and tie_break[0] == "avoid" else None
+    if tie_break != "lowest" and avoid not in range(inst.n):
+        raise InputError(f"tie_break: expected 'lowest' or ('avoid', i) with 0 <= i < {inst.n}, got {tie_break!r}")
     game = _Game(inst.entitlements, inst.valuations)
     while game.remaining:
         bids = tuple(game.bid(i, s) for i, s in enumerate(strategies))
-        winner = _pick_winner(bids, tie_break)
+        winner = _pick_winner(bids, avoid)
         game.settle(bids, winner, game.select(winner, strategies[winner], bids[winner]))
     paid = sum((r.payment for r in game.rounds), Rat(0))
     if sum(game.budgets, Rat(0)) + paid != 1:
@@ -304,13 +322,13 @@ class _ZeroStrategy(Strategy):
     """Always bids 0; on a forced win takes the single highest-value item."""
 
     def __init__(self, valuation: Valuation) -> None:
-        self.vals = valuation.item_values
+        self.ranking = _Ranking(valuation.ranked_items())
 
     def bid(self, view: AgentView) -> Rat:
         return Rat(0)
 
     def select(self, view: AgentView) -> tuple[int, ...]:
-        return _top_by(lambda j: self.vals[j], view.remaining, 1)
+        return _first(self.ranking, view.remaining)
 
 
 def strategy_zero(valuation: Valuation, b: Rat | None = None) -> Strategy:
@@ -323,29 +341,27 @@ class _BidMaxValue(Strategy):
 
     `scale` re-expresses bids and budgets when the strategy plays inside a
     sub-game whose budgets sum to `scale` instead of 1; `universe` restricts
-    the value mass to a sub-game's item set.
+    the value mass to a sub-game's item set, which holds every item that
+    remains in that sub-game.
     """
 
     def __init__(self, valuation, cap=None, scale=Rat(1), universe=None) -> None:
         items = range(valuation.m) if universe is None else universe
         vals = valuation.item_values
         self.capped = {j: vals[j] if cap is None else min(vals[j], cap) for j in items}
+        self.ranking = _ranking(self.capped, items)
         self.total = sum(self.capped.values())
         self.scale = Rat(scale)
 
-    def _top(self, remaining) -> tuple[int, ...]:
-        return _top_by(lambda j: self.capped.get(j, 0), remaining, 1)
-
     def bid(self, view: AgentView) -> Rat:
-        if self.total <= 0:
-            return Rat(0)
-        x = self.capped.get(self._top(view.remaining)[0], 0)
+        # A zero top value also covers a zero total.
+        x = self.capped[_first(self.ranking, view.remaining)[0]]
         if x <= 0:
             return Rat(0)
         return min(Rat(x) / self.total * self.scale, view.budget)
 
     def select(self, view: AgentView) -> tuple[int, ...]:
-        return self._top(view.remaining)
+        return _first(self.ranking, view.remaining)
 
 
 def strategy_bid_max_value(valuation: Valuation, b: Rat, cap=None) -> Strategy:
@@ -356,51 +372,69 @@ def strategy_bid_max_value(valuation: Valuation, b: Rat, cap=None) -> Strategy:
     return _BidMaxValue(valuation, cap=cap)
 
 
-class _RankItemStrategy(Strategy):
+class _RankItemStrategy(_ZeroStrategy):
     """Bid the full entitlement every round; wins at latest once the floor(1/b)
     cheaper-or-equal bidders ahead are exhausted, so the top-ranked reachable
     item is secured."""
 
     def __init__(self, valuation: Valuation, b: Rat) -> None:
-        self.vals = valuation.item_values
+        super().__init__(valuation)
         self.b = Rat(b)
 
     def bid(self, view: AgentView) -> Rat:
         return min(self.b, view.budget)
-
-    def select(self, view: AgentView) -> tuple[int, ...]:
-        return _top_by(lambda j: self.vals[j], view.remaining, 1)
 
 
 def strategy_rank_item(valuation: Valuation, b: Rat) -> Strategy:
     return _RankItemStrategy(valuation, b)
 
 
-class _TpsStrategy(Strategy):
-    """Adaptive proportional bidding with a two-item rescue; guarantees a
-    bundle worth at least TPS/(2-b) and retires after one satisfying win."""
+class _RescueBidder(Strategy):
+    """Shared by the TPS and three-step bidders. Rule 1 bids for the top item
+    alone, rule 2 for the top two, the rescue pair; a win under either rule
+    retires the bidder. `bid` records its rule in `last_rule` (0 for none).
+    """
 
     def __init__(self, valuation: Valuation) -> None:
         self.vals = valuation.item_values
-        self.dropped = False
+        self.ranking = _Ranking(valuation.ranked_items())
+        self.done = False
         self.prev_bundle = 0
         self.last_rule = 0
 
-    def bid(self, view: AgentView) -> Rat:
+    def _retired(self, view: AgentView) -> bool:
+        """Start a bid: retire after a rule-1 or rule-2 win, clear the rule."""
         won = len(view.bundle) > self.prev_bundle
         self.prev_bundle = len(view.bundle)
         if won and self.last_rule in (1, 2):
-            self.dropped = True
+            self.done = True
         self.last_rule = 0
-        if self.dropped:
+        return self.done
+
+    def _top_two(self, remaining) -> tuple[int, int]:
+        """The two highest remaining values, 0 standing in for a missing one."""
+        top = [self.vals[j] for j in _first(self.ranking, remaining, 2)] + [0]
+        return top[0], top[1]
+
+    def select(self, view: AgentView) -> tuple[int, ...]:
+        picked = _first(self.ranking, view.remaining, 2 if self.last_rule == 2 else 1)
+        if view.winning_bid is not None and view.winning_bid * len(picked) > view.budget:
+            picked = picked[:1]
+        return picked
+
+
+class _TpsStrategy(_RescueBidder):
+    """Adaptive proportional bidding with a two-item rescue; guarantees a
+    bundle worth at least TPS/(2-b) and retires after one satisfying win."""
+
+    def bid(self, view: AgentView) -> Rat:
+        if self._retired(view):
             return Rat(0)
-        rem = sorted(view.remaining, key=lambda j: (-self.vals[j], j))
-        s = sum(self.vals[j] for j in rem)
+        s = sum(self.vals[j] for j in view.remaining)
         bt, total = view.budget, view.total_budget
         if s == 0 or total == 0:
             return Rat(0)
-        x = self.vals[rem[0]]
-        y = self.vals[rem[1]] if len(rem) > 1 else 0
+        x, y = self._top_two(view.remaining)
         if x * total >= bt * s:
             self.last_rule = 1
             return bt
@@ -410,13 +444,6 @@ class _TpsStrategy(Strategy):
         self.last_rule = 3
         # Below budget exactly because rule 1 failed: x/s * total < bt.
         return Rat(x) * total / s
-
-    def select(self, view: AgentView) -> tuple[int, ...]:
-        count = 2 if self.last_rule == 2 else 1
-        picked = _top_by(lambda j: self.vals[j], view.remaining, count)
-        if view.winning_bid is not None and view.winning_bid * len(picked) > view.budget:
-            picked = picked[:1]
-        return picked
 
 
 def strategy_tps(valuation: Valuation, b: Rat) -> Strategy:
@@ -431,11 +458,11 @@ class _Lemma34Strategy(Strategy):
     starts the first time a full-budget round is followed by a proportional
     one: values are re-truncated against the entry budget and bid over the
     original capped total. Retires as soon as the accumulated capped value
-    reaches the target.
+    reaches the target. `scale` and `universe` are as for `_BidMaxValue`.
     """
 
     def __init__(self, valuation, b, z, scale=Rat(1), universe=None) -> None:
-        items = list(range(valuation.m)) if universe is None else list(universe)
+        items = range(valuation.m) if universe is None else universe
         vals = valuation.item_values
         self.capped = {j: min(Rat(vals[j]), Rat(z)) for j in items}
         self.s = sum(self.capped.values(), Rat(0))
@@ -444,52 +471,43 @@ class _Lemma34Strategy(Strategy):
         self.scale = Rat(scale)
         self.stage = 1
         self.prev_full_bid = False
-        self.vhat: dict[int, Rat] = {}
+        # The values the current stage bids: capped, then re-truncated.
+        self.table = self.capped
+        self.ranking = _ranking(self.capped, items)
         self.done = False
         self.last_sel: tuple[int, ...] = ()
-
-    def _accumulated(self, bundle) -> Rat:
-        return sum((self.capped.get(j, Rat(0)) for j in bundle), Rat(0))
 
     def bid(self, view: AgentView) -> Rat:
         if self.done:
             return Rat(0)
         target = Rat(3, 2) * self.z
-        if self.z <= 0 or self.s == 0 or self._accumulated(view.bundle) >= target:
+        u = sum((self.capped.get(j, Rat(0)) for j in view.bundle), Rat(0))
+        if self.z <= 0 or self.s == 0 or u >= target:
             self.done = True
             return Rat(0)
-        rem = [j for j in view.remaining if j in self.capped]
-        if not rem:
-            return Rat(0)
+        top = _first(self.ranking, view.remaining)[0]
         if self.stage == 1:
-            top = _top_by(lambda j: self.capped[j], rem, 1)[0]
-            x = self.capped[top]
-            u = self._accumulated(view.bundle)
-            reach = x + u >= target
-            if self.prev_full_bid and not reach:
+            if self.capped[top] + u >= target:
+                self.prev_full_bid = True
+                self.last_sel = (top,)
+                return view.budget
+            if self.prev_full_bid:
                 self.stage = 2
                 entry = view.budget / self.scale
                 if entry <= 0:
                     self.done = True
                     return Rat(0)
                 ratio = (self.b0 - 2 * entry) / entry
-                self.vhat = {
-                    j: max(Rat(0), min(entry * self.s, ratio * self.capped[j])) for j in rem
+                self.table = {
+                    j: max(Rat(0), min(entry * self.s, ratio * self.capped[j])) for j in view.remaining
                 }
-            elif reach:
-                self.prev_full_bid = True
-                self.last_sel = (top,)
-                return view.budget
-            else:
-                self.prev_full_bid = False
-                self.last_sel = (top,)
-                return min(x / self.s * self.scale, view.budget)
-        top = _top_by(lambda j: self.vhat.get(j, Rat(0)), rem, 1)[0]
+                self.ranking = _ranking(self.table, view.remaining)
+                top = self.ranking[0]
         self.last_sel = (top,)
-        xh = self.vhat.get(top, Rat(0))
-        if xh <= 0:
+        x = self.table[top]
+        if x <= 0:
             return Rat(0)
-        return min(xh / self.s * self.scale, view.budget)
+        return min(x / self.s * self.scale, view.budget)
 
     def select(self, view: AgentView) -> tuple[int, ...]:
         if self.last_sel and set(self.last_sel) <= set(view.remaining):
@@ -503,26 +521,23 @@ def strategy_lemma34(valuation: Valuation, b: Rat, z) -> Strategy:
     return _Lemma34Strategy(valuation, b, z)
 
 
-class _Aps35Strategy(Strategy):
+class _Aps35Strategy(_RescueBidder):
     """Three-step bidder targeting three fifths of z.
 
-    Steps 1 and 2 grab a single item, or a rescue pair, that already meets
-    the target, retiring on success. The first round where no pair suffices
-    the strategy restarts inside the residual sub-game: by default with the
-    two-stage capped bidder at two fifths of z, or a plain proportional
-    bidder when `eight_fifteenths` is set.
+    Steps 1 and 2 are the rescue rules: they grab a single item, or a rescue
+    pair, that already meets the target, retiring on success. The first
+    round where no pair suffices the strategy restarts inside the residual
+    sub-game: by default with the two-stage capped bidder at two fifths of
+    z, or a plain proportional bidder when `eight_fifteenths` is set.
     """
 
     def __init__(self, valuation: Valuation, b: Rat, z, eight_fifteenths: bool = False) -> None:
+        super().__init__(valuation)
         self.valuation = valuation
-        self.vals = valuation.item_values
         self.b = Rat(b)
         self.z = Rat(z)
         self.eight = eight_fifteenths
         self.delegate: Strategy | None = None
-        self.done = False
-        self.prev_bundle = 0
-        self.last_step = 0
 
     def _start_subgame(self, view: AgentView) -> Rat:
         pool = view.total_budget
@@ -540,35 +555,24 @@ class _Aps35Strategy(Strategy):
     def bid(self, view: AgentView) -> Rat:
         if self.delegate is not None:
             return self.delegate.bid(view)
-        won = len(view.bundle) > self.prev_bundle
-        self.prev_bundle = len(view.bundle)
-        if won and self.last_step in (1, 2):
-            self.done = True
-        self.last_step = 0
-        if self.done:
+        if self._retired(view):
             return Rat(0)
         if self.z <= 0:
             return self._start_subgame(view)
         target = Rat(3, 5) * self.z
-        rem = sorted(view.remaining, key=lambda j: (-self.vals[j], j))
-        x = self.vals[rem[0]] if rem else 0
-        y = self.vals[rem[1]] if len(rem) > 1 else 0
+        x, y = self._top_two(view.remaining)
         if x >= target:
-            self.last_step = 1
+            self.last_rule = 1
             return view.budget
         if x + y >= target:
-            self.last_step = 2
+            self.last_rule = 2
             return min(self.b / 2, view.budget)
         return self._start_subgame(view)
 
     def select(self, view: AgentView) -> tuple[int, ...]:
         if self.delegate is not None:
             return self.delegate.select(view)
-        count = 2 if self.last_step == 2 else 1
-        picked = _top_by(lambda j: self.vals[j], view.remaining, count)
-        if view.winning_bid is not None and view.winning_bid * len(picked) > view.budget:
-            picked = picked[:1]
-        return picked
+        return super().select(view)
 
 
 def strategy_aps35(valuation: Valuation, b: Rat, z, eight_fifteenths: bool = False) -> Strategy:

@@ -56,8 +56,6 @@ from .shares import (
 )
 from .verify import BOUND_SETS, check_allocation, check_ce
 
-NOTIONS = ("proportional", "tps", "aps", "pessimistic", "mms", "wmms", "unit-demand")
-
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
@@ -191,38 +189,35 @@ def _parse_strategy_specs(text: str | None, n: int) -> dict[int, tuple[str, int 
 # Subcommands.
 
 
+def _aps_share(inst: Instance, i: int) -> dict:
+    res = aps_exact(inst.valuations[i], inst.entitlements[i])
+    return {
+        "value": res.value,
+        "certificate": res.certificate.to_json_dict(),
+        "witness": res.witness.to_json_dict(),
+    }
+
+
+# Every notion `shares` accepts, as a builder (instance, agent) -> JSON value.
+# The builders look the solvers up when called, so a rebound solver is used.
+NOTIONS = {
+    "proportional": lambda inst, i: rat_to_str(proportional_share(inst.valuations[i], inst.entitlements[i])),
+    "tps": lambda inst, i: rat_to_str(tps(inst.valuations[i], inst.entitlements[i])),
+    "aps": _aps_share,
+    "pessimistic": lambda inst, i: pessimistic_share_exact(inst.valuations[i], inst.entitlements[i]),
+    "mms": lambda inst, i: mms_exact(inst.valuations[i], inst.n),
+    "wmms": lambda inst, i: rat_to_str(wmms_exact(inst.entitlements, i, inst.valuations[i])),
+    "unit-demand": lambda inst, i: unit_demand_aps(inst.valuations[i].item_values, inst.entitlements[i]),
+}
+
+
 def _agent_shares(inst: Instance, i: int, notions: list[str]) -> dict:
-    v = inst.valuations[i]
-    b = inst.entitlements[i]
-    out: dict = {
+    return {
         "agent": i,
         "name": inst.agent_names[i],
-        "entitlement": rat_to_str(b),
-        "shares": {},
+        "entitlement": rat_to_str(inst.entitlements[i]),
+        "shares": {notion: NOTIONS[notion](inst, i) for notion in notions},
     }
-    for notion in notions:
-        if notion == "proportional":
-            out["shares"][notion] = rat_to_str(proportional_share(v, b))
-        elif notion == "tps":
-            out["shares"][notion] = rat_to_str(tps(v, b))
-        elif notion == "aps":
-            res = aps_exact(v, b)
-            out["shares"][notion] = {
-                "value": res.value,
-                "certificate": res.certificate.to_json_dict(),
-                "witness": res.witness.to_json_dict(),
-            }
-        elif notion == "pessimistic":
-            out["shares"][notion] = pessimistic_share_exact(v, b)
-        elif notion == "mms":
-            out["shares"][notion] = mms_exact(v, inst.n)
-        elif notion == "wmms":
-            out["shares"][notion] = rat_to_str(wmms_exact(inst.entitlements, i, v))
-        elif notion == "unit-demand":
-            out["shares"][notion] = unit_demand_aps(v.item_values, b)
-        else:
-            raise InputError(f"notions: unknown notion {notion!r}, expected one of {', '.join(NOTIONS)}")
-    return out
 
 
 def cmd_shares(args) -> int:
@@ -230,6 +225,9 @@ def cmd_shares(args) -> int:
     notions = [s.strip() for s in args.notions.split(",") if s.strip()]
     if not notions:
         raise InputError("notions: empty list")
+    for notion in notions:
+        if notion not in NOTIONS:
+            raise InputError(f"notions: unknown notion {notion!r}, expected one of {', '.join(NOTIONS)}")
     if args.agent is not None:
         if not (0 <= args.agent < inst.n):
             raise InputError(f"agent: index {args.agent} out of range")
@@ -314,32 +312,23 @@ def cmd_game(args) -> int:
         name, z = specs.get(focal, ("meta", None))
         if args.adversary == "worst":
             # One build plays the whole sweep, so meta's or aps35's simulation
-            # search runs once. The lines are read in pattern order, so a tie
-            # reports the first pattern reaching the minimum.
+            # search runs once. `min` reads the lines in pattern order, so a
+            # tie reports the first pattern reaching the minimum.
             lines = dict(worst_case_sweep(v, b, _make_strategy(name, z, v, b)))
-            worst_value = None
-            worst_pattern = None
-            worst_transcript = None
-            feasible = 0
             patterns = enumerate_win_patterns(inst.m)
-            for wins in patterns:
-                t = lines[wins]
-                if not t.infeasible:
-                    feasible += 1
-                got = v.value(t.allocation.bundles[0])
-                if worst_value is None or got < worst_value:
-                    worst_value, worst_pattern, worst_transcript = got, wins, t
+            worst = min(patterns, key=lambda wins: v.value(lines[wins].allocation.bundles[0]))
+            t = lines[worst]
             doc = {
                 "focal": focal,
                 "strategy": name,
                 "patterns_checked": len(patterns),
-                "patterns_feasible": feasible,
-                "min_value": worst_value,
-                "pattern": list(worst_pattern) if worst_pattern is not None else None,
-                "transcript": worst_transcript.to_json_dict() if worst_transcript else None,
+                "patterns_feasible": sum(not lines[wins].infeasible for wins in patterns),
+                "min_value": v.value(t.allocation.bundles[0]),
+                "pattern": list(worst),
+                "transcript": t.to_json_dict(),
             }
             _emit(doc)
-            _maybe_write_transcript(args, worst_transcript)
+            _maybe_write_transcript(args, t)
             return 0
         wins = _parse_pattern(args.adversary)
         t = worst_case_adversary(v, b, _make_strategy(name, z, v, b), wins)

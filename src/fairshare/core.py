@@ -220,7 +220,10 @@ def parse_instance(text: str) -> Instance:
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise InputError(f"agents[{i}].values[{j}]: expected a non-negative integer")
         values.append(row)
-        names.append(agent.get("name") or f"agent{i}")
+        name = agent.get("name")
+        if name is not None and not isinstance(name, str):
+            raise InputError(f"agents[{i}].name: expected a string")
+        names.append(name or f"agent{i}")
     if item_names is not None and values and len(values[0]) != len(item_names):
         raise InputError(f"agents[0].values: expected {len(item_names)} values, got {len(values[0])}")
     return make_instance(values, ents, names, item_names)

@@ -39,9 +39,9 @@ class _NodeCounter:
 
     __slots__ = ("guard", "limit", "used")
 
-    def __init__(self, guard: str, limit: int | None = None) -> None:
+    def __init__(self, guard: str) -> None:
         self.guard = guard
-        self.limit = guard_limit() if limit is None else limit
+        self.limit = guard_limit()
         self.used = 0
 
     def tick(self) -> None:

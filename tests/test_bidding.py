@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -137,6 +139,15 @@ def test_run_game_rejects_wrong_strategy_count():
     inst = five_unit_instance()
     with pytest.raises(InputError):
         run_game(inst, [strategy_zero(inst.valuations[0])])
+
+
+@pytest.mark.parametrize("tie_break", ["highest", ("avoid", 3), ("avoid", -1), ("avoid", "0"), ("avoid",)])
+def test_run_game_checks_the_tie_break(tie_break):
+    inst = five_unit_instance()
+    strategies = [strategy_zero(v) for v in inst.valuations]
+    with pytest.raises(InputError) as exc:
+        run_game(inst, strategies, tie_break)
+    assert str(exc.value).startswith("tie_break: expected 'lowest' or ('avoid', i) with 0 <= i < 3")
 
 
 def test_transcript_json_round_trip():
@@ -345,6 +356,26 @@ def test_sweep_matches_one_fresh_game_per_pattern():
         "good": 75,
         "bad": 41,
     }
+
+
+def test_sweep_transcripts_pin_the_tie_rules():
+    # Values 0-3 make value ties and capped ties common, so the digest moves
+    # if any strategy or the coalition breaks a tie other than "highest value
+    # first, lowest index on ties".
+    rng = random.Random(53)
+    digest = hashlib.sha256()
+    for _ in range(30):
+        v = rand_valuation(rng, m_max=6, vmax=3)
+        den = rng.randint(2, 6)
+        b = Rat(rng.randint(1, den - 1), den)
+        z = rng.randint(1, max(1, v.total))
+        specs = [("zero", None), ("tps", None), ("rank", None), ("maxval", None), ("maxval-tps", None)]
+        specs += [("lemma34", z), ("aps35", z), ("aps35-alt", z)]
+        for name, target in specs:
+            lines = dict(worst_case_sweep(v, b, _make_strategy(name, target, v, b)))
+            for wins in enumerate_win_patterns(v.m):
+                digest.update(json.dumps(lines[wins].to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == "4a74dbd78d494fa0e8809ff8d7ffd81ac9faf5b9c0960f89d23ec72c1dff5361"
 
 
 def test_strategy_clone_is_independent():

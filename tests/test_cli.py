@@ -61,11 +61,25 @@ def test_shares_extra_notions(tmp_path, capsys):
     assert "/" in shares["wmms"] or shares["wmms"].isdigit()
 
 
-def test_shares_unknown_notion_is_input_error(tmp_path, capsys):
+def test_shares_unknown_notion_is_input_error(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "inst.json", BASE_EXAMPLE)
     code, _, err = run_cli(capsys, ["shares", path, "--notions", "nonsense"])
     assert code == 2
     assert "notions" in err
+    # every name is checked before any share is computed
+    calls = []
+    monkeypatch.setattr(fairshare.cli, "aps_exact", lambda *args: calls.append(args))
+    code, doc, err = run_cli(capsys, ["shares", path, "--notions", "aps,bogus"])
+    assert (code, doc, len(calls)) == (2, None, 0)
+    assert "unknown notion 'bogus'" in err
+
+
+@pytest.mark.parametrize("name", [5, ["x"], True])
+def test_shares_non_string_agent_name_is_input_error(tmp_path, capsys, name):
+    doc = {"agents": [dict(agent, name=name) for agent in BASE_EXAMPLE["agents"]]}
+    code, out, err = run_cli(capsys, ["shares", write(tmp_path, "inst.json", doc)])
+    assert (code, out) == (2, None)
+    assert "agents[0].name: expected a string" in err
 
 
 def test_shares_malformed_file(tmp_path, capsys):
@@ -413,3 +427,9 @@ def test_bad_tie_break_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["game", inst_path, "--tie-break", "highest"])
     assert code == 2
     assert "tie-break" in err
+    # an agent index outside the instance is refused, not played as `lowest`
+    for command in (["game", inst_path], ["allocate", inst_path, "--method", "bidding"]):
+        for text in ("avoid:99", "avoid:-4"):
+            code, doc, err = run_cli(capsys, command + ["--tie-break", text])
+            assert (code, doc) == (2, None)
+            assert "tie_break" in err and "0 <= i < 3" in err
