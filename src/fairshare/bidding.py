@@ -248,6 +248,14 @@ class _Game:
         return GameTranscript(tuple(self.rounds), allocation, tuple(self.flags))
 
 
+def avoided_agent(tie_break, n: int) -> int | None:
+    """i for ("avoid", i) with 0 <= i < n, None for "lowest"; else InputError."""
+    avoid = tie_break[1] if isinstance(tie_break, tuple) and len(tie_break) == 2 and tie_break[0] == "avoid" else None
+    if tie_break != "lowest" and avoid not in range(n):
+        raise InputError(f"tie_break: expected 'lowest' or ('avoid', i) with 0 <= i < {n}, got {tie_break!r}")
+    return avoid
+
+
 def run_game(
     inst: Instance,
     strategies: Sequence[Strategy],
@@ -263,9 +271,7 @@ def run_game(
     """
     if len(strategies) != inst.n:
         raise InputError(f"strategies: expected {inst.n}, got {len(strategies)}")
-    avoid = tie_break[1] if isinstance(tie_break, tuple) and len(tie_break) == 2 and tie_break[0] == "avoid" else None
-    if tie_break != "lowest" and avoid not in range(inst.n):
-        raise InputError(f"tie_break: expected 'lowest' or ('avoid', i) with 0 <= i < {inst.n}, got {tie_break!r}")
+    avoid = avoided_agent(tie_break, inst.n)
     game = _Game(inst.entitlements, inst.valuations)
     while game.remaining:
         bids = tuple(game.bid(i, s) for i, s in enumerate(strategies))

@@ -19,6 +19,7 @@ import sys
 
 from .bidding import (
     GameTranscript,
+    avoided_agent,
     best_good_z,
     enumerate_win_patterns,
     meta_strategy,
@@ -114,15 +115,17 @@ def _load_prices(path: str, m: int) -> tuple[Rat, ...]:
     return tuple(out)
 
 
-def _parse_tie_break(text: str):
+def _parse_tie_break(text: str, n: int):
     if text == "lowest":
         return "lowest"
-    if text.startswith("avoid:"):
-        try:
-            return ("avoid", int(text.split(":", 1)[1]))
-        except ValueError:
-            raise InputError(f"tie-break: bad agent index in {text!r}") from None
-    raise InputError(f"tie-break: expected 'lowest' or 'avoid:I', got {text!r}")
+    if not text.startswith("avoid:"):
+        raise InputError(f"tie-break: expected 'lowest' or 'avoid:I', got {text!r}")
+    try:
+        tie_break = ("avoid", int(text.split(":", 1)[1]))
+    except ValueError:
+        raise InputError(f"tie-break: bad agent index in {text!r}") from None
+    avoided_agent(tie_break, n)
+    return tie_break
 
 
 def _lemma34(valuation, b: Rat, z: int | None):
@@ -240,10 +243,11 @@ def cmd_shares(args) -> int:
 
 def cmd_allocate(args) -> int:
     inst = _load_instance(args.instance)
+    tie_break = _parse_tie_break(args.tie_break, inst.n)
     doc: dict = {"method": args.method, "seed": args.seed}
     if args.method == "bidding":
         strategies = [meta_strategy(inst.valuations[i], inst.entitlements[i]) for i in range(inst.n)]
-        transcript = run_game(inst, strategies, _parse_tie_break(args.tie_break))
+        transcript = run_game(inst, strategies, tie_break)
         alloc = transcript.allocation
         report = check_allocation(inst, alloc, "arbitrary-entitlements")
         doc["transcript"] = transcript.to_json_dict()
@@ -294,6 +298,7 @@ def cmd_verify(args) -> int:
 
 def cmd_game(args) -> int:
     inst = _load_instance(args.instance)
+    tie_break = _parse_tie_break(args.tie_break, inst.n)
     if args.replay is not None:
         raw = _load_json(args.replay, "transcript")
         if not isinstance(raw, dict):
@@ -347,7 +352,7 @@ def cmd_game(args) -> int:
     for i in range(inst.n):
         name, z = specs.get(i, ("meta", None))
         strategies.append(_make_strategy(name, z, inst.valuations[i], inst.entitlements[i]))
-    transcript = run_game(inst, strategies, _parse_tie_break(args.tie_break))
+    transcript = run_game(inst, strategies, tie_break)
     _emit(
         {
             "allocation": [list(b) for b in transcript.allocation.bundles],

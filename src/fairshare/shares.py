@@ -102,21 +102,18 @@ def _rank_item_value(item_values: Sequence[int], b: Rat) -> int:
 # Knapsack primitives shared by the APS machinery and the certificate checks.
 
 
-def _subset_states(
-    values: Sequence[int], prices: Sequence[Rat], cap: int
-) -> tuple[dict[int, tuple[int, int, int]], int]:
+def _subset_states(values: Sequence[int], costs: Sequence[int], cap: int) -> dict[int, tuple[int, int, int]]:
     """0/1 DP over the positive-value items keeping reachable states only (Toth
     1980): states[k] = (cost, value, mask) of the cheapest subset of value k,
-    or of value >= cap at k = cap, ties to the lower value. Costs are ints in
-    units of 1/scale, the lcm of the price denominators. The state count is
+    or of value >= cap at k = cap, ties to the lower value. Costs are ints, in
+    whatever unit the caller scaled the prices to. The state count is
     guarded; it is at most min(2^m, cap + 1) at any value scale."""
-    pos = [j for j in range(len(values)) if values[j] > 0]
-    scale = math.lcm(*(prices[j].denominator for j in pos))
     limit = guard_limit()
     states = {0: (0, 0, 0)}
-    for j in pos:
-        v = values[j]
-        p = prices[j].numerator * (scale // prices[j].denominator)
+    for j, v in enumerate(values):
+        if v <= 0:
+            continue
+        p = costs[j]
         bit = 1 << j
         for cost, worth, mask in list(states.values()):
             cost += p
@@ -127,28 +124,28 @@ def _subset_states(
                 raise GuardError("knapsack-value", limit, limit + 1)
             if old is None or cost < old[0] or (cost == old[0] and worth < old[1]):
                 states[key] = (cost, worth, mask | bit)
-    return states, scale
+    return states
 
 
 def _min_price_reaching(
-    values: Sequence[int], prices: Sequence[Rat], target: int
-) -> tuple[Rat, frozenset[int], int] | None:
-    """Cheapest subset with value >= target, as (price, subset, value), or
+    values: Sequence[int], costs: Sequence[int], target: int
+) -> tuple[int, frozenset[int], int] | None:
+    """Cheapest subset with value >= target, as (cost, subset, value), or
     None if no subset reaches it. Ties go to the lowest value."""
     if target <= 0:
-        return Rat(0), frozenset(), 0
+        return 0, frozenset(), 0
     if target > sum(values):
         return None
-    states, scale = _subset_states(values, prices, target)
-    cost, worth, mask = states[target]
-    chosen = frozenset(j for j in range(len(values)) if mask >> j & 1)
-    return Rat(cost, scale), chosen, worth
+    cost, worth, mask = _subset_states(values, costs, target)[target]
+    return cost, frozenset(j for j in range(len(values)) if mask >> j & 1), worth
 
 
 def _max_affordable_value(values: Sequence[int], prices: Sequence[Rat], budget: Rat) -> int:
     """Highest subset value purchasable within the budget."""
-    states, scale = _subset_states(values, prices, sum(values))
+    scale = math.lcm(*(prices[j].denominator for j in range(len(values)) if values[j] > 0))
+    costs = [p.numerator * (scale // p.denominator) if v > 0 else 0 for p, v in zip(prices, values)]
     afford = math.floor(budget * scale)
+    states = _subset_states(values, costs, sum(values))
     return max((worth for cost, worth, _ in states.values() if cost <= afford), default=0)
 
 
@@ -165,7 +162,8 @@ def _partition_search(
 
     Positive items are placed in descending order (Korf 2009). Bundles with
     equal (W_k, v(A_k)) are interchangeable, so an item tries only one of
-    them and a state is expanded once (memo on the sorted bundle states).
+    them and a state is expanded once (memo on the sorted bundle states);
+    the last item tries only a lowest bundle.
     An integer water-filling bound, the best objective if the remaining
     value could be split fractionally, prunes every state that cannot beat
     the incumbent; it is exact at the leaves. Callers pass unit weights
@@ -227,7 +225,10 @@ def _partition_search(
         seen.add(key)
         x = items[idx]
         tried: set[int] = set()
-        for i in range(k):
+        # The last item goes to one lowest bundle only: for take = 1 any other
+        # leaves the minimum as it is, and with unit weights the gain
+        # min(x, s_(take+1) - s_j) is largest at the smallest s_j.
+        for i in range(k) if idx + 1 < len(items) else (state.index(asc[0]),):
             if state[i] in tried:
                 continue
             tried.add(state[i])
@@ -429,9 +430,9 @@ def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozen
     maximizing b * sum(lam). One `ColumnLP` (unit costs, so the prices are
     b times its duals) is warm-started column by column: every pooled bundle
     worth at least t seeds it, then `_min_price_reaching` (the state DP
-    capped at t) adds the cheapest bundle of value >= t, of the lowest value
-    among the cheapest, while one costs less than b under the current
-    prices. Every bundle found joins `pool` with its value.
+    capped at t, on the LP's integer duals) adds the cheapest bundle of
+    value >= t, lowest value first among the cheapest, while one has duals
+    summing below 1. Every bundle found joins `pool` with its value.
 
     Returns (opt, prices, packing), packing being the bundles of positive
     weight and prices padded to sum exactly 1. opt < 1 is exact, and the
@@ -442,7 +443,7 @@ def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozen
     if t < 1:
         raise AssertionError(f"threshold LP is only queried at positive thresholds, got {t}")
     m = len(values)
-    lp = ColumnLP([Rat(1)] * m)
+    lp = ColumnLP([1] * m)
     cols: list[frozenset[int]] = []
 
     def add(bundle: frozenset[int]) -> None:
@@ -454,10 +455,10 @@ def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozen
             add(bundle)
     while True:
         lp.solve()
-        if b * lp.value >= 1:
+        if b.numerator * lp.scaled_value >= b.denominator * lp.det:
             break
-        sep = _min_price_reaching(values, lp.duals(), t)
-        if sep is None or sep[0] >= 1:
+        sep = _min_price_reaching(values, lp.scaled_duals(), t)
+        if sep is None or sep[0] >= lp.det:
             break
         _, bundle, worth = sep
         pool[bundle] = worth
@@ -482,13 +483,16 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     for every t <= v(S). A threshold LP stops as soon as its restricted
     packing reaches 1, which already proves APS >= t.
 
-    The LPs at aps + 1 and at aps are always solved, so a wrong bracket
-    raises instead of returning a wrong share. The certificate comes from
-    the LP at aps + 1 (prices padded to sum exactly 1, leaving every bundle
-    above the share strictly unaffordable); the witness is the packing of
-    the LP at aps normalised to weights summing to 1 (bundles worth at
-    least the share, per-item coverage at most b). Both oracles run
-    `_subset_states`: at most min(2^m, v(M) + 1) states at any value scale.
+    The certificate comes from the LP that last lowered hi to aps + 1: its
+    prices, padded to sum exactly 1, leave nothing above the share
+    affordable. The witness is the packing of the LP that last raised lo to
+    aps, normalised to weights summing to 1: every bundle is worth at least
+    the share and each item is covered at most b. An end of the bracket no
+    LP set is solved at aps + 1 or aps. Both are then re-checked with
+    `check_price_certificate` and `check_bundle_witness`, which raise
+    AssertionError (also under -O) instead of returning a wrong share. Both
+    oracles run `_subset_states`: at most min(2^m, v(M) + 1) states at any
+    value scale.
     """
     b = check_entitlement(b)
     m = valuation.m
@@ -500,44 +504,42 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
         return ApsResult(0, cert, wit)
 
     pool: dict[frozenset[int], int] = {}
-    solved: dict[int, _ThresholdLP] = {}
-
-    def threshold_lp(t: int) -> _ThresholdLP:
-        if t not in solved:
-            solved[t] = _threshold_price_lp(values, b, t, pool)
-        return solved[t]
-
+    upper = lower = None
     lo = unit_demand_aps(values, b)
     hi = math.floor(tps(valuation, b)) + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        res = threshold_lp(mid)
+        res = _threshold_price_lp(values, b, mid, pool)
         if res.opt < 1:
-            hi = min(mid, _max_affordable_value(values, res.prices, b) + 1)
+            hi, upper = min(mid, _max_affordable_value(values, res.prices, b) + 1), res
         else:
-            lo = max(mid, min(pool[s] for s, _ in res.packing))
+            lo, lower = max(mid, min(pool[s] for s, _ in res.packing)), res
     aps = lo
 
-    upper = threshold_lp(aps + 1)
+    if upper is None:
+        upper = _threshold_price_lp(values, b, aps + 1, pool)
     if upper.opt >= 1:
         raise AssertionError(f"APS search: threshold {aps + 1} is reachable, so {aps} is not the share")
     cert = PriceCertificate(upper.prices, b, aps)
-
     if aps == 0:
         wit = BundleWitness(((),), (Rat(1),), 0)
-        return ApsResult(0, cert, wit)
-
-    lower = threshold_lp(aps)
-    if lower.opt < 1:
-        raise AssertionError(f"APS search: threshold {aps} is unreachable, so {aps} is not the share")
-    if len(lower.packing) > m:
-        raise AssertionError(f"APS witness: {len(lower.packing)} bundles exceed {m} items")
-    mass = sum((w for _, w in lower.packing), Rat(0))
-    wit = BundleWitness(
-        tuple(tuple(sorted(s)) for s, _ in lower.packing),
-        tuple(w / mass for _, w in lower.packing),
-        aps,
-    )
+    else:
+        if lower is None:
+            lower = _threshold_price_lp(values, b, aps, pool)
+        if lower.opt < 1:
+            raise AssertionError(f"APS search: threshold {aps} is unreachable, so {aps} is not the share")
+        if len(lower.packing) > m:
+            raise AssertionError(f"APS witness: {len(lower.packing)} bundles exceed {m} items")
+        mass = sum((w for _, w in lower.packing), Rat(0))
+        wit = BundleWitness(
+            tuple(tuple(sorted(s)) for s, _ in lower.packing),
+            tuple(w / mass for _, w in lower.packing),
+            aps,
+        )
+    if not check_price_certificate(cert, valuation):
+        raise AssertionError(f"APS certificate: a bundle worth more than {aps} is affordable")
+    if not check_bundle_witness(wit, valuation, b):
+        raise AssertionError(f"APS witness: the packing does not prove a share of {aps}")
     return ApsResult(aps, cert, wit)
 
 

@@ -424,11 +424,19 @@ def test_cli_requires_subcommand(capsys):
 
 def test_bad_tie_break_is_input_error(tmp_path, capsys):
     inst_path = write(tmp_path, "units.json", FIVE_UNITS)
-    code, _, err = run_cli(capsys, ["game", inst_path, "--tie-break", "highest"])
-    assert code == 2
-    assert "tie-break" in err
+    # every mode checks the option against the instance before any work,
+    # also where no bidding game is played
+    for command in (["game", inst_path], ["allocate", inst_path, "--method", "greedy-efx"]):
+        code, doc, err = run_cli(capsys, command + ["--tie-break", "highest"])
+        assert (code, doc) == (2, None)
+        assert "tie-break" in err
     # an agent index outside the instance is refused, not played as `lowest`
-    for command in (["game", inst_path], ["allocate", inst_path, "--method", "bidding"]):
+    for command in (
+        ["game", inst_path],
+        ["game", inst_path, "--adversary", "pattern:1"],
+        ["game", inst_path, "--adversary", "worst"],
+        ["allocate", inst_path, "--method", "bidding"],
+    ):
         for text in ("avoid:99", "avoid:-4"):
             code, doc, err = run_cli(capsys, command + ["--tie-break", text])
             assert (code, doc) == (2, None)

@@ -84,3 +84,44 @@ def test_random_programs_carry_optimality_certificates():
             sub_c, sub_rows = c[:k], [row[:k] for row in rows]
             _assert_optimal(sub_c, sub_rows, rhs, lp.value, lp.primal(), lp.duals())
             assert lp.value == simplex_max(sub_c, sub_rows, rhs)[0]
+
+
+def test_warm_started_set_packing_carries_certificates():
+    """The threshold LPs' shape: unit rhs, 0/1 columns arriving between
+    solves, a fresh solve after each batch. Every solve must end optimal by
+    the primal-dual certificate, and the value is non-decreasing as columns
+    only widen the program."""
+    rng = random.Random(71)
+    for _ in range(80):
+        m = rng.randint(1, 8)
+        lp = ColumnLP([1] * m)
+        c, rows = [], [[] for _ in range(m)]
+        last = Rat(0)
+        for _ in range(rng.randint(1, 6)):
+            for _ in range(rng.randint(1, 4)):
+                col = [rng.randint(0, 1) for _ in range(m)]
+                col[rng.randrange(m)] = 1
+                cost = rng.randint(1, 3)
+                lp.add_column(cost, col)
+                c.append(cost)
+                for row, a in zip(rows, col):
+                    row.append(a)
+            lp.solve()
+            _assert_optimal(c, rows, [1] * m, lp.value, lp.primal(), lp.duals())
+            assert lp.value >= last
+            assert lp.duals() == [Rat(y, lp.det) for y in lp.scaled_duals()]
+            last = lp.value
+
+
+def test_non_integral_data_raises():
+    with pytest.raises(ValueError):
+        ColumnLP([Rat(1, 2)])
+    lp = ColumnLP([1, 1])
+    with pytest.raises(ValueError):
+        lp.add_column(Rat(3, 2), [1, 0])
+    with pytest.raises(ValueError):
+        lp.add_column(1, [1, Rat(1, 3)])
+    with pytest.raises(ValueError):
+        simplex_max([Rat(1)], [[Rat(2, 3)]], [Rat(1)])
+    # integral Fractions are integer data
+    assert simplex_max([Rat(2)], [[Rat(4, 2)]], [Rat(6, 3)])[0] == 2

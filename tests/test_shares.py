@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fairshare
 from fairshare import (
     Allocation,
     BundleWitness,
@@ -27,6 +32,8 @@ from fairshare import (
     wmms_exact,
     worst_case_adversary,
 )
+from fairshare import shares
+from fairshare.lp import ColumnLP
 from fairshare.oracle import aps_brute
 from fairshare.shares import _max_affordable_value, _min_price_reaching
 
@@ -173,9 +180,10 @@ def test_witness_support_stays_small():
 
 def test_aps_matches_brute_force_at_both_bracket_ends():
     """The search is bracketed by unit_demand_aps <= APS <= floor(tps), and
-    the final LPs at aps and aps + 1 re-prove both ends. The share must still
-    match brute force, with checked certificates, when it sits on either end
-    of the bracket, where the search never queries that end itself."""
+    the certificate and witness come from the LPs that set the final bracket.
+    The share must still match brute force, with checked certificates, when
+    it sits on either end of the bracket, where no LP of the search set that
+    end and it is solved after the search."""
     rng = random.Random(53)
     cases = [
         (Valuation((4, 3, 2, 1)), Rat(1)),
@@ -199,6 +207,61 @@ def test_aps_matches_brute_force_at_both_bracket_ends():
         at_low_only += low == res.value < high
         at_high_only += low < res.value == high
     assert at_low_only and at_high_only
+
+
+def _aps_work(v, b):
+    """Threshold LPs and simplex pivots of one aps_exact call, counted by
+    wrapping the LP entry points; a pivot is a write to the basis."""
+    counts = {"lps": 0, "pivots": 0}
+    threshold_lp, solve = shares._threshold_price_lp, ColumnLP.solve
+
+    class CountingBasis(list):
+        def __setitem__(self, i, var):
+            counts["pivots"] += 1
+            super().__setitem__(i, var)
+
+    def counted_lp(*args):
+        counts["lps"] += 1
+        return threshold_lp(*args)
+
+    def counted_solve(lp):
+        lp.basis = CountingBasis(lp.basis)
+        solve(lp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shares, "_threshold_price_lp", counted_lp)
+        mp.setattr(ColumnLP, "solve", counted_solve)
+        aps_exact(v, b)
+    return counts
+
+
+def test_aps_work_counts_are_pinned():
+    """The APS work is deterministic, so a change to the search, the cut pool
+    or the pivot rule shows up here as a changed count."""
+    assert _aps_work(base_valuation(), Rat(2, 5)) == {"lps": 2, "pivots": 8}
+    assert _aps_work(pair_sum_valuation()[0], Rat(1, 3)) == {"lps": 8, "pivots": 243}
+
+
+def test_aps_certificate_checks_survive_optimize_flag():
+    """aps_exact re-checks its certificate and witness with real raises: a
+    checker that rejects them must stop it in a `python -O` interpreter."""
+    script = (
+        "from fairshare import Rat, aps_exact, shares\n"
+        "from helpers import base_valuation\n"
+        "for name in ('check_price_certificate', 'check_bundle_witness'):\n"
+        "    real = getattr(shares, name)\n"
+        "    setattr(shares, name, lambda *args: False)\n"
+        "    try:\n"
+        "        aps_exact(base_valuation(), Rat(2, 5))\n"
+        "    except AssertionError:\n"
+        "        print('raised')\n"
+        "    setattr(shares, name, real)\n"
+    )
+    paths = [str(Path(fairshare.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]
 
 
 def test_subset_state_oracles_match_enumeration():
