@@ -58,12 +58,14 @@ class Strategy:
     """Interface for bidding-game players.
 
     `bid` is called once per round; `select` only on the round's winner, with
-    `winning_bid` filled in. Implementations are deterministic and keep any
-    state they need on plain attributes so they can be cloned for tree
-    search. A clone taken at any point, mid-game included, must continue
-    exactly as the original would from there: `worst_case_sweep` clones a
-    strategy after its bid in a round and plays the clone on the branch
-    where the coalition concedes that round.
+    `winning_bid` filled in. Implementations are deterministic. `clone` is a
+    shallow copy, so a strategy only rebinds its attributes, never mutating
+    a held list, dict or object in place, and clones share what it built
+    once; one that holds another strategy overrides `clone` to copy it too.
+    A clone taken at any point, mid-game included, must continue exactly as
+    the original would from there: `worst_case_sweep` clones a strategy
+    after its bid in a round and plays the clone on the branch where the
+    coalition concedes that round.
 
     A strategy that plays a sub-game is given the sub-game's universe, the
     items remaining when it starts; every item it later sees remaining lies
@@ -77,20 +79,13 @@ class Strategy:
         raise NotImplementedError
 
     def clone(self) -> "Strategy":
-        return copy.deepcopy(self)
+        return copy.copy(self)
 
 
-class _Ranking(tuple):
-    """Item indices in a fixed order. Immutable, so clones share it."""
-
-    def __deepcopy__(self, memo) -> "_Ranking":
-        return self
-
-
-def _ranking(scores, items) -> _Ranking:
+def _ranking(scores, items) -> tuple[int, ...]:
     """`items` by score descending, ties to the lowest index: the order
     `Valuation.ranked_items` gives plain values."""
-    return _Ranking(sorted(items, key=lambda j: (-scores[j], j)))
+    return tuple(sorted(items, key=lambda j: (-scores[j], j)))
 
 
 def _first(ranking: Sequence[int], remaining: Sequence[int], count: int = 1) -> tuple[int, ...]:
@@ -328,7 +323,7 @@ class _ZeroStrategy(Strategy):
     """Always bids 0; on a forced win takes the single highest-value item."""
 
     def __init__(self, valuation: Valuation) -> None:
-        self.ranking = _Ranking(valuation.ranked_items())
+        self.ranking = tuple(valuation.ranked_items())
 
     def bid(self, view: AgentView) -> Rat:
         return Rat(0)
@@ -403,7 +398,7 @@ class _RescueBidder(Strategy):
 
     def __init__(self, valuation: Valuation) -> None:
         self.vals = valuation.item_values
-        self.ranking = _Ranking(valuation.ranked_items())
+        self.ranking = tuple(valuation.ranked_items())
         self.done = False
         self.prev_bundle = 0
         self.last_rule = 0
@@ -580,6 +575,13 @@ class _Aps35Strategy(_RescueBidder):
             return self.delegate.select(view)
         return super().select(view)
 
+    def clone(self) -> Strategy:
+        twin = super().clone()
+        if self.delegate is not None:
+            # The sub-game bidder holds no strategy, so a copy suffices.
+            twin.delegate = copy.copy(self.delegate)
+        return twin
+
 
 def strategy_aps35(valuation: Valuation, b: Rat, z, eight_fifteenths: bool = False) -> Strategy:
     """Guarantees a bundle of value at least 3z/5 whenever z is at most the
@@ -729,9 +731,27 @@ def meta_strategy(valuation: Valuation, b: Rat) -> Strategy:
     bidder, or the rank bidder, whichever guarantee is largest (ties in that
     order). Uses only game simulations to pick, no share computations."""
     z, g = meta_guarantees(valuation, b)
-    best = max(g.values())
-    if g["aps35"] == best:
-        return strategy_aps35(valuation, b, z)
-    if g["tps"] == best:
-        return strategy_tps(valuation, b)
-    return strategy_rank_item(valuation, b)
+    return STRATEGIES[max(g, key=g.get)](valuation, b, z)
+
+
+def _lemma34(valuation: Valuation, b: Rat, z: int | None) -> Strategy:
+    if z is None:
+        raise InputError("strategies: lemma34 needs an explicit target, e.g. 0=lemma34:5")
+    return strategy_lemma34(valuation, b, z)
+
+
+# Every strategy by name, as a builder (valuation, b, z) -> Strategy; z is a
+# target, or None for the strategies that need none or find their own. The
+# builders look `meta_strategy` and `best_good_z` up when called, so a
+# rebound one is used.
+STRATEGIES = {
+    "meta": lambda v, b, z: meta_strategy(v, b),
+    "tps": lambda v, b, z: strategy_tps(v, b),
+    "rank": lambda v, b, z: strategy_rank_item(v, b),
+    "zero": lambda v, b, z: strategy_zero(v, b),
+    "maxval": lambda v, b, z: strategy_bid_max_value(v, b),
+    "maxval-tps": lambda v, b, z: strategy_bid_max_value(v, b, cap=tps(v, b)),
+    "aps35": lambda v, b, z: strategy_aps35(v, b, best_good_z(v, b) if z is None else z),
+    "aps35-alt": lambda v, b, z: strategy_aps35(v, b, best_good_z(v, b) if z is None else z, eight_fifteenths=True),
+    "lemma34": _lemma34,
+}

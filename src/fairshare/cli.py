@@ -18,19 +18,13 @@ import json
 import sys
 
 from .bidding import (
+    STRATEGIES,
     GameTranscript,
     avoided_agent,
-    best_good_z,
     enumerate_win_patterns,
     meta_strategy,
     replay_transcript,
     run_game,
-    strategy_aps35,
-    strategy_bid_max_value,
-    strategy_lemma34,
-    strategy_rank_item,
-    strategy_tps,
-    strategy_zero,
     worst_case_adversary,
     worst_case_sweep,
 )
@@ -126,33 +120,6 @@ def _parse_tie_break(text: str, n: int):
         raise InputError(f"tie-break: bad agent index in {text!r}") from None
     avoided_agent(tie_break, n)
     return tie_break
-
-
-def _lemma34(valuation, b: Rat, z: int | None):
-    if z is None:
-        raise InputError("strategies: lemma34 needs an explicit target, e.g. 0=lemma34:5")
-    return strategy_lemma34(valuation, b, z)
-
-
-# Every strategy the CLI accepts, as a builder (valuation, b, z) -> Strategy;
-# z is the target from `name:z`, or None when the spec gives none.
-STRATEGIES = {
-    "meta": lambda v, b, z: meta_strategy(v, b),
-    "tps": lambda v, b, z: strategy_tps(v, b),
-    "rank": lambda v, b, z: strategy_rank_item(v, b),
-    "zero": lambda v, b, z: strategy_zero(v, b),
-    "maxval": lambda v, b, z: strategy_bid_max_value(v, b),
-    "maxval-tps": lambda v, b, z: strategy_bid_max_value(v, b, cap=tps(v, b)),
-    "aps35": lambda v, b, z: strategy_aps35(v, b, best_good_z(v, b) if z is None else z),
-    "aps35-alt": lambda v, b, z: strategy_aps35(
-        v, b, best_good_z(v, b) if z is None else z, eight_fifteenths=True
-    ),
-    "lemma34": _lemma34,
-}
-
-
-def _make_strategy(name: str, z: int | None, valuation, b: Rat):
-    return STRATEGIES[name](valuation, b, z)
 
 
 def _parse_strategy_specs(text: str | None, n: int) -> dict[int, tuple[str, int | None]]:
@@ -319,7 +286,7 @@ def cmd_game(args) -> int:
             # One build plays the whole sweep, so meta's or aps35's simulation
             # search runs once. `min` reads the lines in pattern order, so a
             # tie reports the first pattern reaching the minimum.
-            lines = dict(worst_case_sweep(v, b, _make_strategy(name, z, v, b)))
+            lines = dict(worst_case_sweep(v, b, STRATEGIES[name](v, b, z)))
             patterns = enumerate_win_patterns(inst.m)
             worst = min(patterns, key=lambda wins: v.value(lines[wins].allocation.bundles[0]))
             t = lines[worst]
@@ -336,7 +303,7 @@ def cmd_game(args) -> int:
             _maybe_write_transcript(args, t)
             return 0
         wins = _parse_pattern(args.adversary)
-        t = worst_case_adversary(v, b, _make_strategy(name, z, v, b), wins)
+        t = worst_case_adversary(v, b, STRATEGIES[name](v, b, z), wins)
         doc = {
             "focal": focal,
             "strategy": name,
@@ -351,7 +318,7 @@ def cmd_game(args) -> int:
     strategies = []
     for i in range(inst.n):
         name, z = specs.get(i, ("meta", None))
-        strategies.append(_make_strategy(name, z, inst.valuations[i], inst.entitlements[i]))
+        strategies.append(STRATEGIES[name](inst.valuations[i], inst.entitlements[i], z))
     transcript = run_game(inst, strategies, tie_break)
     _emit(
         {
@@ -377,7 +344,7 @@ def _parse_pattern(text: str) -> tuple[int, ...]:
 
 
 def _maybe_write_transcript(args, transcript) -> None:
-    if getattr(args, "transcript", None) and transcript is not None:
+    if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
             json.dump(transcript.to_json_dict(), fh, indent=2)
 

@@ -97,10 +97,6 @@ class Valuation:
         """Item indices sorted by value descending, ties by index ascending."""
         return sorted(range(self.m), key=lambda j: (-self.item_values[j], j))
 
-    def __deepcopy__(self, memo) -> "Valuation":
-        # Frozen ints only: a deep copy, as in Strategy.clone, shares it.
-        return self
-
 
 def check_entitlement(b: Rat, path: str = "entitlement") -> Rat:
     """An entitlement as an exact rational 0 < b <= 1. Plain ints are
@@ -112,6 +108,16 @@ def check_entitlement(b: Rat, path: str = "entitlement") -> Rat:
     if not (0 < b <= 1):
         raise InputError(f"{path}: must satisfy 0 < b <= 1, got {rat_to_str(b)}")
     return b
+
+
+def _check_entitlements(entitlements: Iterable[Rat], path: str = "entitlement") -> tuple[Rat, ...]:
+    """An entitlement profile: each entry through `check_entitlement`, with
+    `path` formatted by its index, in order; the sum must be exactly 1."""
+    ents = tuple(check_entitlement(b, path.format(i)) for i, b in enumerate(entitlements))
+    total = sum(ents, Rat(0))
+    if total != 1:
+        raise InputError(f"entitlements: sum {rat_to_str(total)} != 1")
+    return ents
 
 
 @dataclass(frozen=True)
@@ -156,22 +162,17 @@ def make_instance(
             vals.append(Valuation(tuple(row)))
         except InputError as exc:
             raise InputError(f"agents[{i}].{exc}") from None
-    ents = []
-    for i, b in enumerate(entitlements):
-        path = f"agents[{i}].entitlement"
-        if isinstance(b, str):
-            b = rat_from_str(b, path)
-        ents.append(check_entitlement(b, path))
-    total = sum(ents, Rat(0))
-    if total != 1:
-        raise InputError(f"entitlements: sum {rat_to_str(total)} != 1")
+    path = "agents[{}].entitlement"
+    ents = _check_entitlements(
+        (rat_from_str(b, path.format(i)) if isinstance(b, str) else b for i, b in enumerate(entitlements)), path
+    )
     names = tuple(agent_names) if agent_names else tuple(f"agent{i}" for i in range(len(values)))
     if len(names) != len(values):
         raise InputError("agents: name count does not match agent count")
     items = tuple(item_names) if item_names else tuple(f"item{j}" for j in range(m))
     if len(items) != m:
         raise InputError(f"items: expected {m} names, got {len(items)}")
-    return Instance(tuple(vals), tuple(ents), names, items)
+    return Instance(tuple(vals), ents, names, items)
 
 
 def parse_instance(text: str) -> Instance:
@@ -321,7 +322,7 @@ def ordered_version(inst: Instance) -> OrderedReduction:
     return OrderedReduction(ordered, tuple(perms))
 
 
-def lift_allocation(inst: Instance, red: OrderedReduction, ordered_alloc: Allocation) -> Allocation:
+def lift_allocation(inst: Instance, ordered_alloc: Allocation) -> Allocation:
     """Map an allocation of the ordered instance back to the original items.
 
     Runs the choosing sequence: at rank r the agent holding the r-th ordered

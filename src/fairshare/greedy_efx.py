@@ -12,7 +12,7 @@ final bundle of every agent is worth at least min(3/4 of her AnyPrice share,
 
 from __future__ import annotations
 
-from .core import Allocation, InputError, Instance, OrderedReduction, is_ordered, lift_allocation, ordered_version
+from .core import Allocation, InputError, Instance, is_ordered, lift_allocation, ordered_version
 
 
 def _envy_adjacency(bundles: list[list[int]], inst: Instance) -> list[list[int]]:
@@ -154,6 +154,5 @@ def greedy_efx_full(inst: Instance) -> Allocation:
     to the original items. Equal entitlements only."""
     if not inst.equal_entitlements():
         raise InputError("greedy-efx: equal entitlements required")
-    red: OrderedReduction = ordered_version(inst)
-    ordered_alloc, _ = greedy_efx(red.ordered_instance)
-    return lift_allocation(inst, red, ordered_alloc)
+    ordered_alloc, _ = greedy_efx(ordered_version(inst).ordered_instance)
+    return lift_allocation(inst, ordered_alloc)

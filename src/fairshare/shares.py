@@ -26,6 +26,7 @@ from .core import (
     InputError,
     Rat,
     Valuation,
+    _check_entitlements,
     check_entitlement,
     guard_limit,
     rat_from_str,
@@ -293,9 +294,7 @@ def wmms_exact(entitlements: Sequence[Rat], i: int, valuation: Valuation) -> Rat
     minimum of (L/p_k) * v_i(A_k): the partition search with integer weights
     L/p_k. Node count is guarded by `assignment-nodes`.
     """
-    ents = [check_entitlement(e) for e in entitlements]
-    if sum(ents, Rat(0)) != 1:
-        raise InputError(f"entitlements: sum {rat_to_str(sum(ents, Rat(0)))} != 1")
+    ents = _check_entitlements(entitlements)
     if not (0 <= i < len(ents)):
         raise InputError(f"agent index {i} out of range")
     q = math.lcm(*(e.denominator for e in ents))
@@ -434,11 +433,11 @@ def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozen
     value >= t, lowest value first among the cheapest, while one has duals
     summing below 1. Every bundle found joins `pool` with its value.
 
-    Returns (opt, prices, packing), packing being the bundles of positive
-    weight and prices padded to sum exactly 1. opt < 1 is exact, and the
-    prices leave every bundle of value >= t unaffordable at b. opt >= 1 may
-    stop early on a restricted column set: its packing already proves
-    APS >= t.
+    Returns (opt, prices, packing); only the one the outcome needs is
+    built, the other is empty. opt < 1 is exact, and its prices, padded to
+    sum exactly 1, leave every bundle of value >= t unaffordable at b.
+    opt >= 1 may stop early on a restricted column set: its packing, the
+    bundles of positive weight, already proves APS >= t.
     """
     if t < 1:
         raise AssertionError(f"threshold LP is only queried at positive thresholds, got {t}")
@@ -463,10 +462,11 @@ def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozen
         _, bundle, worth = sep
         pool[bundle] = worth
         add(bundle)
-    packing = [(s, w) for s, w in zip(cols, lp.primal()) if w > 0]
     opt = b * lp.value
+    if opt >= 1:
+        return _ThresholdLP(opt, (), [(s, w) for s, w in zip(cols, lp.primal()) if w > 0])
     pad = (1 - opt) / m
-    return _ThresholdLP(opt, tuple(b * y + pad for y in lp.duals()), packing)
+    return _ThresholdLP(opt, tuple(b * y + pad for y in lp.duals()), [])
 
 
 def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
@@ -550,10 +550,7 @@ def two_agent_aps_allocation(v1: Valuation, v2: Valuation, b1: Rat, b2: Rat) -> 
     bundle whose complement is worth at least the proportional share, and
     hence the APS, to agent 2.
     """
-    b1 = check_entitlement(b1)
-    b2 = check_entitlement(b2)
-    if b1 + b2 != 1:
-        raise InputError(f"entitlements: sum {rat_to_str(b1 + b2)} != 1")
+    b1, b2 = _check_entitlements((b1, b2))
     if v1.m != v2.m:
         raise InputError("valuations: item counts differ")
     res1 = aps_exact(v1, b1)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from fairshare import (
+    AgentView,
     Allocation,
     GameTranscript,
     InputError,
@@ -31,8 +32,7 @@ from fairshare import (
     worst_case_sweep,
 )
 from fairshare import test_z_good as z_goodness
-from fairshare.bidding import Strategy, _Aps35Strategy, _RankItemStrategy, _TpsStrategy
-from fairshare.cli import _make_strategy
+from fairshare.bidding import STRATEGIES, Strategy, _Aps35Strategy, _RankItemStrategy, _TpsStrategy
 from fairshare.shares import aps_exact
 
 from helpers import (
@@ -331,7 +331,7 @@ def test_sweep_matches_one_fresh_game_per_pattern():
         z = rng.randint(1, max(1, v.total))
         specs = [("zero", None), ("tps", None), ("rank", None), ("maxval", None), ("maxval-tps", None)]
         specs += [("lemma34", z), ("aps35", z), ("aps35-alt", z)]
-        makers = [lambda name=name, z=z: _make_strategy(name, z, v, b) for name, z in specs]
+        makers = [lambda name=name, z=z: STRATEGIES[name](v, b, z) for name, z in specs]
         for make in makers + [_FaultyDuelist]:
             lines = list(worst_case_sweep(v, b, make()))
             assert sorted(wins for wins, _ in lines) == sorted(enumerate_win_patterns(v.m))
@@ -372,7 +372,7 @@ def test_sweep_transcripts_pin_the_tie_rules():
         specs = [("zero", None), ("tps", None), ("rank", None), ("maxval", None), ("maxval-tps", None)]
         specs += [("lemma34", z), ("aps35", z), ("aps35-alt", z)]
         for name, target in specs:
-            lines = dict(worst_case_sweep(v, b, _make_strategy(name, target, v, b)))
+            lines = dict(worst_case_sweep(v, b, STRATEGIES[name](v, b, target)))
             for wins in enumerate_win_patterns(v.m):
                 digest.update(json.dumps(lines[wins].to_json_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == "4a74dbd78d494fa0e8809ff8d7ffd81ac9faf5b9c0960f89d23ec72c1dff5361"
@@ -386,6 +386,15 @@ def test_strategy_clone_is_independent():
     run_game(inst, [strat])
     assert strat.prev_bundle > 0
     assert twin.prev_bundle == 0
+    # At z = 6 no rescue pair reaches 18/5, so the first bid enters the
+    # sub-game; the twin must get its own sub-game bidder.
+    strat = strategy_aps35(v, Rat(2, 5), 6)
+    strat.bid(AgentView(1, tuple(range(v.m)), Rat(2, 5), Rat(1), ()))
+    twin = strat.clone()
+    before = dict(vars(twin.delegate))
+    worst_case_adversary(v, Rat(2, 5), strat, (2, 3))
+    assert vars(strat.delegate) != before
+    assert vars(twin.delegate) == before
 
 
 def test_adversary_validates_inputs():

@@ -9,7 +9,7 @@ import pytest
 import fairshare.bidding
 import fairshare.cli
 from fairshare.bidding import GameTranscript, Strategy, _Game, enumerate_win_patterns, worst_case_adversary
-from fairshare.cli import STRATEGIES, _make_strategy, main
+from fairshare.cli import STRATEGIES, main
 from fairshare.core import InputError, parse_instance
 
 BASE_EXAMPLE = {
@@ -221,7 +221,7 @@ def _fresh_build_sweep(inst, focal, name, z):
     worst = None
     feasible = 0
     for wins in patterns:
-        t = worst_case_adversary(v, b, _make_strategy(name, z, v, b), wins)
+        t = worst_case_adversary(v, b, STRATEGIES[name](v, b, z), wins)
         feasible += not t.infeasible
         got = v.value(t.allocation.bundles[0])
         if worst is None or got < worst[0]:
@@ -248,7 +248,6 @@ def test_game_worst_sweep_matches_fresh_builds(tmp_path, capsys, monkeypatch):
         calls.append(1)
         return real(valuation, b)
 
-    monkeypatch.setattr(fairshare.cli, "best_good_z", counted)
     monkeypatch.setattr(fairshare.bidding, "best_good_z", counted)
     rng = random.Random(4)
     cells = [(n, m, kind) for n in (2, 3, 4) for m in (4, 5, 6) for kind in ("equal", "weighted")]

@@ -181,14 +181,14 @@ def test_lift_identity_reduction():
     inst = make_instance([[5, 4, 3], [5, 4, 3]], [Rat(1, 2), Rat(1, 2)])
     red = ordered_version(inst)
     alloc = Allocation(((0, 2), (1,)))
-    assert lift_allocation(inst, red, alloc) == alloc
+    assert lift_allocation(inst, alloc) == alloc
 
 
 def test_lift_single_rank_pick():
     inst = make_instance([[1, 3, 2], [1, 3, 2]], [Rat(1, 2), Rat(1, 2)])
     red = ordered_version(inst)
     ordered_alloc = Allocation(((0,), (1, 2)))
-    lifted = lift_allocation(inst, red, ordered_alloc)
+    lifted = lift_allocation(inst, ordered_alloc)
     # rank1 holder picks the original top item, worth 3
     assert inst.valuations[0].value(lifted.bundles[0]) == 3
 
@@ -205,7 +205,7 @@ def test_lift_never_loses_value():
         for j, i in enumerate(owners):
             bundles[i].append(j)
         ordered_alloc = Allocation(tuple(tuple(b) for b in bundles))
-        lifted = lift_allocation(inst, red, ordered_alloc)
+        lifted = lift_allocation(inst, ordered_alloc)
         for i in range(n):
             got = inst.valuations[i].value(lifted.bundles[i])
             promised = red.ordered_instance.valuations[i].value(ordered_alloc.bundles[i])
