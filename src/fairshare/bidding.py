@@ -21,6 +21,10 @@ solver. Every item choice, the engine's fallback included, follows one rule:
 highest value first (plain or capped), ties to the lowest index. Each
 strategy ranks its items once, when it builds the values it ranks, and then
 takes the first remaining items of that ranking (`_first`).
+
+`STRATEGIES` is the one way to build a strategy: the library and the CLI
+name them with the same words, and `STRATEGIES[name](valuation, b, z)`
+builds the strategy the CLI's `--strategies I=name[:z]` plays.
 """
 
 from __future__ import annotations
@@ -332,13 +336,14 @@ class _ZeroStrategy(Strategy):
         return _first(self.ranking, view.remaining)
 
 
-def strategy_zero(valuation: Valuation, b: Rat | None = None) -> Strategy:
-    return _ZeroStrategy(valuation)
-
-
 class _BidMaxValue(Strategy):
     """Bid the top remaining (capped) value over the fixed total, capped by
     budget; on a win take that top item.
+
+    Guarantees, when no k items of capped value exceed b times the capped
+    total, a final bundle worth at least k/(k+1) of that proportional slice;
+    with the truncated proportional share as cap this yields at least half
+    the TPS.
 
     `scale` re-expresses bids and budgets when the strategy plays inside a
     sub-game whose budgets sum to `scale` instead of 1; `universe` restricts
@@ -365,14 +370,6 @@ class _BidMaxValue(Strategy):
         return _first(self.ranking, view.remaining)
 
 
-def strategy_bid_max_value(valuation: Valuation, b: Rat, cap=None) -> Strategy:
-    """Guarantees, when no k items of capped value exceed b times the capped
-    total, a final bundle worth at least k/(k+1) of that proportional slice;
-    with the truncated proportional share as cap this yields at least half
-    the TPS."""
-    return _BidMaxValue(valuation, cap=cap)
-
-
 class _RankItemStrategy(_ZeroStrategy):
     """Bid the full entitlement every round; wins at latest once the floor(1/b)
     cheaper-or-equal bidders ahead are exhausted, so the top-ranked reachable
@@ -384,10 +381,6 @@ class _RankItemStrategy(_ZeroStrategy):
 
     def bid(self, view: AgentView) -> Rat:
         return min(self.b, view.budget)
-
-
-def strategy_rank_item(valuation: Valuation, b: Rat) -> Strategy:
-    return _RankItemStrategy(valuation, b)
 
 
 class _RescueBidder(Strategy):
@@ -447,10 +440,6 @@ class _TpsStrategy(_RescueBidder):
         return Rat(x) * total / s
 
 
-def strategy_tps(valuation: Valuation, b: Rat) -> Strategy:
-    return _TpsStrategy(valuation)
-
-
 class _Lemma34Strategy(Strategy):
     """Two-stage capped-value bidder targeting one and a half times z.
 
@@ -460,9 +449,14 @@ class _Lemma34Strategy(Strategy):
     one: values are re-truncated against the entry budget and bid over the
     original capped total. Retires as soon as the accumulated capped value
     reaches the target. `scale` and `universe` are as for `_BidMaxValue`.
+
+    Guarantees a bundle of value at least 3z/2 whenever no price vector
+    summing to 1 prices every bundle of value z above b/2.
     """
 
     def __init__(self, valuation, b, z, scale=Rat(1), universe=None) -> None:
+        if z is None:
+            raise InputError("strategies: lemma34 needs an explicit target, e.g. 0=lemma34:5")
         items = range(valuation.m) if universe is None else universe
         vals = valuation.item_values
         self.capped = {j: min(Rat(vals[j]), Rat(z)) for j in items}
@@ -513,13 +507,7 @@ class _Lemma34Strategy(Strategy):
     def select(self, view: AgentView) -> tuple[int, ...]:
         if self.last_sel and set(self.last_sel) <= set(view.remaining):
             return self.last_sel
-        return (min(view.remaining),)
-
-
-def strategy_lemma34(valuation: Valuation, b: Rat, z) -> Strategy:
-    """Guarantees a bundle of value at least 3z/2 whenever no price vector
-    summing to 1 prices every bundle of value z above b/2."""
-    return _Lemma34Strategy(valuation, b, z)
+        return _first(self.ranking, view.remaining)
 
 
 class _Aps35Strategy(_RescueBidder):
@@ -530,6 +518,10 @@ class _Aps35Strategy(_RescueBidder):
     round where no pair suffices the strategy restarts inside the residual
     sub-game: by default with the two-stage capped bidder at two fifths of
     z, or a plain proportional bidder when `eight_fifteenths` is set.
+
+    Guarantees a bundle of value at least 3z/5 whenever z is at most the
+    AnyPrice share at entitlement b (8z/15 under the simpler sub-game
+    bidder).
     """
 
     def __init__(self, valuation: Valuation, b: Rat, z, eight_fifteenths: bool = False) -> None:
@@ -581,13 +573,6 @@ class _Aps35Strategy(_RescueBidder):
             # The sub-game bidder holds no strategy, so a copy suffices.
             twin.delegate = copy.copy(self.delegate)
         return twin
-
-
-def strategy_aps35(valuation: Valuation, b: Rat, z, eight_fifteenths: bool = False) -> Strategy:
-    """Guarantees a bundle of value at least 3z/5 whenever z is at most the
-    AnyPrice share at entitlement b (8z/15 under the simpler sub-game
-    bidder)."""
-    return _Aps35Strategy(valuation, b, z, eight_fifteenths)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +677,7 @@ def test_z_good(valuation: Valuation, b: Rat, z: int) -> bool:
     target = Rat(3, 5) * z
     return all(
         valuation.value(t.allocation.bundles[0]) >= target
-        for _, t in worst_case_sweep(valuation, b, strategy_aps35(valuation, b, z))
+        for _, t in worst_case_sweep(valuation, b, _Aps35Strategy(valuation, b, z))
     )
 
 
@@ -734,24 +719,18 @@ def meta_strategy(valuation: Valuation, b: Rat) -> Strategy:
     return STRATEGIES[max(g, key=g.get)](valuation, b, z)
 
 
-def _lemma34(valuation: Valuation, b: Rat, z: int | None) -> Strategy:
-    if z is None:
-        raise InputError("strategies: lemma34 needs an explicit target, e.g. 0=lemma34:5")
-    return strategy_lemma34(valuation, b, z)
-
-
 # Every strategy by name, as a builder (valuation, b, z) -> Strategy; z is a
-# target, or None for the strategies that need none or find their own. The
-# builders look `meta_strategy` and `best_good_z` up when called, so a
-# rebound one is used.
+# target, or None for the strategies that need none or find their own. Each
+# builds its class directly. The builders look `meta_strategy` and
+# `best_good_z` up when called, so a rebound one is used.
 STRATEGIES = {
     "meta": lambda v, b, z: meta_strategy(v, b),
-    "tps": lambda v, b, z: strategy_tps(v, b),
-    "rank": lambda v, b, z: strategy_rank_item(v, b),
-    "zero": lambda v, b, z: strategy_zero(v, b),
-    "maxval": lambda v, b, z: strategy_bid_max_value(v, b),
-    "maxval-tps": lambda v, b, z: strategy_bid_max_value(v, b, cap=tps(v, b)),
-    "aps35": lambda v, b, z: strategy_aps35(v, b, best_good_z(v, b) if z is None else z),
-    "aps35-alt": lambda v, b, z: strategy_aps35(v, b, best_good_z(v, b) if z is None else z, eight_fifteenths=True),
-    "lemma34": _lemma34,
+    "tps": lambda v, b, z: _TpsStrategy(v),
+    "rank": lambda v, b, z: _RankItemStrategy(v, b),
+    "zero": lambda v, b, z: _ZeroStrategy(v),
+    "maxval": lambda v, b, z: _BidMaxValue(v),
+    "maxval-tps": lambda v, b, z: _BidMaxValue(v, cap=tps(v, b)),
+    "aps35": lambda v, b, z: _Aps35Strategy(v, b, best_good_z(v, b) if z is None else z),
+    "aps35-alt": lambda v, b, z: _Aps35Strategy(v, b, best_good_z(v, b) if z is None else z, eight_fifteenths=True),
+    "lemma34": _Lemma34Strategy,
 }

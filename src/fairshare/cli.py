@@ -56,21 +56,25 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _load_instance(path: str) -> Instance:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_instance(fh.read())
+            return fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _load_instance(path: str) -> Instance:
+    return parse_instance(_read(path))
 
 
 def _load_json(path: str, what: str) -> object:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+        return json.loads(_read(path))
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past Python's int-string limit
         raise InputError(f"{what}: malformed JSON: {exc}") from None
 
 
@@ -211,7 +215,7 @@ def cmd_shares(args) -> int:
 def cmd_allocate(args) -> int:
     inst = _load_instance(args.instance)
     tie_break = _parse_tie_break(args.tie_break, inst.n)
-    doc: dict = {"method": args.method, "seed": args.seed}
+    doc: dict = {"method": args.method}
     if args.method == "bidding":
         strategies = [meta_strategy(inst.valuations[i], inst.entitlements[i]) for i in range(inst.n)]
         transcript = run_game(inst, strategies, tie_break)
@@ -299,8 +303,8 @@ def cmd_game(args) -> int:
                 "pattern": list(worst),
                 "transcript": t.to_json_dict(),
             }
+            _write_transcript(args.transcript, t)
             _emit(doc)
-            _maybe_write_transcript(args, t)
             return 0
         wins = _parse_pattern(args.adversary)
         t = worst_case_adversary(v, b, STRATEGIES[name](v, b, z), wins)
@@ -312,21 +316,21 @@ def cmd_game(args) -> int:
             "value": v.value(t.allocation.bundles[0]),
             "transcript": t.to_json_dict(),
         }
+        _write_transcript(args.transcript, t)
         _emit(doc)
-        _maybe_write_transcript(args, t)
         return 0
     strategies = []
     for i in range(inst.n):
         name, z = specs.get(i, ("meta", None))
         strategies.append(STRATEGIES[name](inst.valuations[i], inst.entitlements[i], z))
     transcript = run_game(inst, strategies, tie_break)
+    _write_transcript(args.transcript, transcript)
     _emit(
         {
             "allocation": [list(b) for b in transcript.allocation.bundles],
             "transcript": transcript.to_json_dict(),
         }
     )
-    _maybe_write_transcript(args, transcript)
     return 0
 
 
@@ -343,10 +347,16 @@ def _parse_pattern(text: str) -> tuple[int, ...]:
     return wins
 
 
-def _maybe_write_transcript(args, transcript) -> None:
-    if args.transcript:
-        with open(args.transcript, "w", encoding="utf-8") as fh:
+def _write_transcript(path: str | None, transcript: GameTranscript) -> None:
+    """Write the transcript to `path`, if given; called before `_emit`, so a
+    path that cannot be written leaves stdout empty."""
+    if not path:
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(transcript.to_json_dict(), fh, indent=2)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
 
 
 # Built on the first `main` call; parsing leaves it unchanged, so it is reused.
@@ -372,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--method", choices=("bidding", "greedy-efx", "two-agent"), required=True)
     p.add_argument("--tie-break", default="lowest", help="'lowest' or 'avoid:I'")
-    p.add_argument("--seed", type=int, default=None, help="echoed into the output; runs are deterministic")
     p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("verify", help="re-check an allocation against bounds or a price equilibrium")

@@ -65,6 +65,9 @@ def rat_from_str(text: str, path: str = "value") -> Rat:
         return Rat(text)
     except ZeroDivisionError:
         raise InputError(f"{path}: not a rational 'p/q' or integer string: {text!r}") from None
+    except ValueError as exc:
+        # more digits than Python's int-string limit allows
+        raise InputError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,8 @@ def parse_instance(text: str) -> Instance:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past Python's int-string limit
         raise InputError(f"$: malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("$: expected a JSON object")

@@ -16,6 +16,7 @@ from fairshare import (
     Allocation,
     BundleWitness,
     Rat,
+    STRATEGIES,
     Valuation,
     aps_exact,
     best_good_z,
@@ -30,7 +31,6 @@ from fairshare import (
     mms_exact,
     pessimistic_share_exact,
     proportional_share,
-    strategy_tps,
     tps,
     two_agent_aps_allocation,
     wmms_exact,
@@ -170,7 +170,7 @@ def test_criterion_07_truncated_share_three_fifths_tightness():
         assert worst <= threshold
         best_min = max(best_min, worst)
     assert best_min == threshold
-    worst = adversary_sweep_min(v, b, lambda: strategy_tps(v, b))
+    worst = adversary_sweep_min(v, b, lambda: STRATEGIES["tps"](v, b, None))
     assert worst == 1
     assert worst == t / (2 - b)
 

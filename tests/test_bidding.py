@@ -21,12 +21,6 @@ from fairshare import (
     meta_strategy,
     replay_transcript,
     run_game,
-    strategy_aps35,
-    strategy_bid_max_value,
-    strategy_lemma34,
-    strategy_rank_item,
-    strategy_tps,
-    strategy_zero,
     tps,
     worst_case_adversary,
     worst_case_sweep,
@@ -56,14 +50,14 @@ def test_patterns_enumeration():
 
 def test_single_agent_wins_every_round():
     inst = make_instance([[3, 2, 1]], [Rat(1)])
-    t = run_game(inst, [strategy_tps(inst.valuations[0], Rat(1))])
+    t = run_game(inst, [STRATEGIES["tps"](inst.valuations[0], Rat(1), None)])
     assert t.allocation.bundles[0] == (0, 1, 2)
     assert not t.flags
 
 
 def test_all_tps_agents_split_five_units():
     inst = five_unit_instance()
-    strategies = [strategy_tps(inst.valuations[i], inst.entitlements[i]) for i in range(3)]
+    strategies = [STRATEGIES["tps"](inst.valuations[i], inst.entitlements[i], None) for i in range(3)]
     t = run_game(inst, strategies)
     assert not t.flags
     assert all(len(b) >= 1 for b in t.allocation.bundles)
@@ -75,8 +69,8 @@ def test_max_value_bidder_versus_zero():
 
     def players():
         return [
-            strategy_bid_max_value(inst.valuations[0], Rat(1, 2)),
-            strategy_zero(inst.valuations[1]),
+            STRATEGIES["maxval"](inst.valuations[0], Rat(1, 2), None),
+            STRATEGIES["zero"](inst.valuations[1], inst.entitlements[1], None),
         ]
 
     # ties at zero go to the lowest index, so agent 0 also sweeps the tail
@@ -116,7 +110,7 @@ def test_overbudget_bid_is_flagged():
             return (view.remaining[0],)
 
     inst = make_instance([[2, 1], [2, 1]], [Rat(1, 2), Rat(1, 2)])
-    t = run_game(inst, [TooMuch(), strategy_zero(inst.valuations[1])])
+    t = run_game(inst, [TooMuch(), STRATEGIES["zero"](inst.valuations[1], inst.entitlements[1], None)])
     assert any("agent 0 bid fault" in f for f in t.flags)
     assert all(r.bids[0] == 0 for r in t.rounds)
 
@@ -138,13 +132,13 @@ def test_illegal_selection_falls_back_to_top_item():
 def test_run_game_rejects_wrong_strategy_count():
     inst = five_unit_instance()
     with pytest.raises(InputError):
-        run_game(inst, [strategy_zero(inst.valuations[0])])
+        run_game(inst, [STRATEGIES["zero"](inst.valuations[0], inst.entitlements[0], None)])
 
 
 @pytest.mark.parametrize("tie_break", ["highest", ("avoid", 3), ("avoid", -1), ("avoid", "0"), ("avoid",)])
 def test_run_game_checks_the_tie_break(tie_break):
     inst = five_unit_instance()
-    strategies = [strategy_zero(v) for v in inst.valuations]
+    strategies = [STRATEGIES["zero"](v, b, None) for v, b in zip(inst.valuations, inst.entitlements)]
     with pytest.raises(InputError) as exc:
         run_game(inst, strategies, tie_break)
     assert str(exc.value).startswith("tie_break: expected 'lowest' or ('avoid', i) with 0 <= i < 3")
@@ -152,7 +146,7 @@ def test_run_game_checks_the_tie_break(tie_break):
 
 def test_transcript_json_round_trip():
     inst = five_unit_instance()
-    strategies = [strategy_tps(inst.valuations[i], inst.entitlements[i]) for i in range(3)]
+    strategies = [STRATEGIES["tps"](inst.valuations[i], inst.entitlements[i], None) for i in range(3)]
     t = run_game(inst, strategies)
     back = GameTranscript.from_json_dict(t.to_json_dict())
     assert back.rounds == t.rounds
@@ -163,7 +157,7 @@ def test_transcript_json_round_trip():
 
 def test_replay_rejects_tampering():
     inst = five_unit_instance()
-    strategies = [strategy_tps(inst.valuations[i], inst.entitlements[i]) for i in range(3)]
+    strategies = [STRATEGIES["tps"](inst.valuations[i], inst.entitlements[i], None) for i in range(3)]
     t = run_game(inst, strategies)
     doc = t.to_json_dict()
     doc["rounds"][0]["payment"] = "1"
@@ -267,11 +261,11 @@ def test_adversary_transcripts_replay_on_the_duel_instance():
         inst = make_instance([list(v.item_values)] * 2, [b, 1 - b])
         z = rng.randint(0, v.total)
         makers = [
-            lambda: strategy_tps(v, b),
-            lambda: strategy_rank_item(v, b),
-            lambda: strategy_aps35(v, b, z),
-            lambda: strategy_lemma34(v, b, z),
-            lambda: strategy_bid_max_value(v, b),
+            lambda: STRATEGIES["tps"](v, b, None),
+            lambda: STRATEGIES["rank"](v, b, None),
+            lambda: STRATEGIES["aps35"](v, b, z),
+            lambda: STRATEGIES["lemma34"](v, b, z),
+            lambda: STRATEGIES["maxval"](v, b, None),
         ]
         for make in makers:
             for wins in enumerate_win_patterns(v.m):
@@ -303,7 +297,8 @@ def test_adversary_faults_use_the_run_game_texts():
     assert t.rounds[0] == RoundRecord((Rat(0), Rat(0)), 1, (1,), Rat(0))
     assert t.rounds[1] == RoundRecord((Rat(1, 4), Rat(0)), 0, (2,), Rat(1, 4))
     inst = make_instance([[1, 5, 3], [1, 5, 3]], [b, 1 - b])
-    t = run_game(inst, [_FaultyDuelist(), strategy_zero(inst.valuations[1])], tie_break=("avoid", 0))
+    zero = STRATEGIES["zero"](inst.valuations[1], inst.entitlements[1], None)
+    t = run_game(inst, [_FaultyDuelist(), zero], tie_break=("avoid", 0))
     assert t.flags == expected
     assert t.rounds[1].taken == (2,)
 
@@ -312,7 +307,7 @@ def _z_good_reference(v, b, z) -> bool:
     """`test_z_good` as a fresh three-step build per concession pattern."""
     target = Rat(3, 5) * z
     return z <= 0 or all(
-        v.value(worst_case_adversary(v, b, strategy_aps35(v, b, z), wins).allocation.bundles[0]) >= target
+        v.value(worst_case_adversary(v, b, STRATEGIES["aps35"](v, b, z), wins).allocation.bundles[0]) >= target
         for wins in enumerate_win_patterns(v.m)
     )
 
@@ -380,7 +375,7 @@ def test_sweep_transcripts_pin_the_tie_rules():
 
 def test_strategy_clone_is_independent():
     v = base_valuation()
-    strat = strategy_tps(v, Rat(2, 5))
+    strat = STRATEGIES["tps"](v, Rat(2, 5), None)
     twin = strat.clone()
     inst = make_instance([list(v.item_values)], [Rat(1)])
     run_game(inst, [strat])
@@ -388,7 +383,7 @@ def test_strategy_clone_is_independent():
     assert twin.prev_bundle == 0
     # At z = 6 no rescue pair reaches 18/5, so the first bid enters the
     # sub-game; the twin must get its own sub-game bidder.
-    strat = strategy_aps35(v, Rat(2, 5), 6)
+    strat = STRATEGIES["aps35"](v, Rat(2, 5), 6)
     strat.bid(AgentView(1, tuple(range(v.m)), Rat(2, 5), Rat(1), ()))
     twin = strat.clone()
     before = dict(vars(twin.delegate))
@@ -400,20 +395,20 @@ def test_strategy_clone_is_independent():
 def test_adversary_validates_inputs():
     v = base_valuation()
     with pytest.raises(InputError):
-        worst_case_adversary(v, Rat(2, 5), strategy_tps(v, Rat(2, 5)), (0,))
+        worst_case_adversary(v, Rat(2, 5), STRATEGIES["tps"](v, Rat(2, 5), None), (0,))
     with pytest.raises(InputError):
-        worst_case_adversary(v, Rat(2, 5), strategy_tps(v, Rat(2, 5)), (True,))
+        worst_case_adversary(v, Rat(2, 5), STRATEGIES["tps"](v, Rat(2, 5), None), (True,))
 
 
 def test_adversary_with_no_budget_cannot_outbid():
     v = Valuation((5, 4, 3, 2))
     # a positive bid in a non-conceded round is unanswerable at b = 1
-    t = worst_case_adversary(v, Rat(1), strategy_rank_item(v, Rat(1)), ())
+    t = worst_case_adversary(v, Rat(1), STRATEGIES["rank"](v, Rat(1), None), ())
     assert t.infeasible
-    t = worst_case_adversary(v, Rat(1), strategy_rank_item(v, Rat(1)), (2,))
+    t = worst_case_adversary(v, Rat(1), STRATEGIES["rank"](v, Rat(1), None), (2,))
     assert t.infeasible
     # conceding round 1 lets the agent spend her whole budget on the top item
-    t = worst_case_adversary(v, Rat(1), strategy_rank_item(v, Rat(1)), (1,))
+    t = worst_case_adversary(v, Rat(1), STRATEGIES["rank"](v, Rat(1), None), (1,))
     assert not t.infeasible
     assert v.value(t.allocation.bundles[0]) == 5
 
@@ -421,14 +416,14 @@ def test_adversary_with_no_budget_cannot_outbid():
 def test_tps_strategy_single_item_full_entitlement():
     v = Valuation((7,))
     inst = make_instance([[7]], [Rat(1)])
-    t = run_game(inst, [strategy_tps(v, Rat(1))])
+    t = run_game(inst, [STRATEGIES["tps"](v, Rat(1), None)])
     assert t.allocation.bundles[0] == (0,)
     assert t.rounds[0].bids[0] == Rat(1)
 
 
 def test_tps_strategy_guarantee_on_base_example():
     v = base_valuation()
-    worst = adversary_sweep_min(v, Rat(2, 5), lambda: strategy_tps(v, Rat(2, 5)))
+    worst = adversary_sweep_min(v, Rat(2, 5), lambda: STRATEGIES["tps"](v, Rat(2, 5), None))
     assert worst is not None
     assert worst >= tps(v, Rat(2, 5)) / (2 - Rat(2, 5))
     assert worst >= 2
@@ -436,31 +431,31 @@ def test_tps_strategy_guarantee_on_base_example():
 
 def test_rank_strategy_reaches_its_ranked_item():
     v = Valuation((9, 7, 5, 3, 1))
-    worst = adversary_sweep_min(v, Rat(2, 5), lambda: strategy_rank_item(v, Rat(2, 5)))
+    worst = adversary_sweep_min(v, Rat(2, 5), lambda: STRATEGIES["rank"](v, Rat(2, 5), None))
     assert worst == 7
     v2 = Valuation((5, 4, 3, 2))
-    worst = adversary_sweep_min(v2, Rat(1, 3), lambda: strategy_rank_item(v2, Rat(1, 3)))
+    worst = adversary_sweep_min(v2, Rat(1, 3), lambda: STRATEGIES["rank"](v2, Rat(1, 3), None))
     assert worst is not None
     assert worst >= 3
 
 
 def test_rank_strategy_full_entitlement_takes_top_item():
     v = Valuation((5, 4, 3, 2))
-    worst = adversary_sweep_min(v, Rat(1), lambda: strategy_rank_item(v, Rat(1)))
+    worst = adversary_sweep_min(v, Rat(1), lambda: STRATEGIES["rank"](v, Rat(1), None))
     assert worst == 5
 
 
 def test_capped_bidder_secures_half_the_cap():
     v = base_valuation()
     cap = tps(v, Rat(2, 5))
-    worst = adversary_sweep_min(v, Rat(2, 5), lambda: strategy_bid_max_value(v, Rat(2, 5), cap=cap))
+    worst = adversary_sweep_min(v, Rat(2, 5), lambda: STRATEGIES["maxval-tps"](v, Rat(2, 5), None))
     assert worst is not None
     assert worst >= cap / 2
 
 
 def test_two_stage_bidder_retires_after_reaching_target():
     v = Valuation((4, 4, 4))
-    t = worst_case_adversary(v, Rat(1, 2), strategy_lemma34(v, Rat(1, 2), 2), (1, 2))
+    t = worst_case_adversary(v, Rat(1, 2), STRATEGIES["lemma34"](v, Rat(1, 2), 2), (1, 2))
     assert not t.infeasible
     # two capped wins reach the 3z/2 target, so the round-3 bid is 0
     assert v.value(t.allocation.bundles[0]) >= 3
@@ -470,24 +465,37 @@ def test_two_stage_bidder_retires_after_reaching_target():
 def test_two_stage_bidder_guarantee():
     v = base_valuation()
     z = aps_exact(v, Rat(1, 5)).value
-    worst = adversary_sweep_min(v, Rat(2, 5), lambda: strategy_lemma34(v, Rat(2, 5), z))
+    worst = adversary_sweep_min(v, Rat(2, 5), lambda: STRATEGIES["lemma34"](v, Rat(2, 5), z))
     assert worst is not None
     assert worst >= Rat(3, 2) * z
-    worst = adversary_sweep_min(v, Rat(1, 2), lambda: strategy_lemma34(v, Rat(1, 2), 1))
+    worst = adversary_sweep_min(v, Rat(1, 2), lambda: STRATEGIES["lemma34"](v, Rat(1, 2), 1))
     assert worst is not None
     assert worst >= Rat(3, 2)
 
 
+def test_two_stage_bidder_picks_by_ranking_after_retiring():
+    # Round 2 takes item 1 at bid 0 and reaches the 9/2 target, so the bidder
+    # retires; it still wins the 0-0 ties and must take its top remaining
+    # item, 3 (value 1), before item 0 (value 0).
+    inst = make_instance([[0, 2, 3, 1], [1, 1, 1, 1]], [Rat(1, 2), Rat(1, 2)])
+    strategies = [STRATEGIES["lemma34"](inst.valuations[0], Rat(1, 2), 3)]
+    strategies.append(STRATEGIES["zero"](inst.valuations[1], inst.entitlements[1], None))
+    t = run_game(inst, strategies)
+    assert [r.taken for r in t.rounds] == [(2,), (1,), (3,), (0,)]
+    assert all(r.winner == 0 for r in t.rounds)
+    assert not t.flags
+
+
 def test_two_stage_bidder_on_worthless_items():
     v = Valuation((0, 0))
-    t = worst_case_adversary(v, Rat(1, 2), strategy_lemma34(v, Rat(1, 2), 0), ())
+    t = worst_case_adversary(v, Rat(1, 2), STRATEGIES["lemma34"](v, Rat(1, 2), 0), ())
     assert not t.infeasible
     assert v.value(t.allocation.bundles[0]) == 0
 
 
 def test_three_step_strategy_on_base_example():
     v = base_valuation()
-    worst = adversary_sweep_min(v, Rat(2, 5), lambda: strategy_aps35(v, Rat(2, 5), 2))
+    worst = adversary_sweep_min(v, Rat(2, 5), lambda: STRATEGIES["aps35"](v, Rat(2, 5), 2))
     assert worst is not None
     assert worst >= Rat(6, 5)
     assert worst >= 2
@@ -495,14 +503,14 @@ def test_three_step_strategy_on_base_example():
 
 def test_three_step_strategy_with_zero_target_stays_legal():
     v = base_valuation()
-    worst = adversary_sweep_min(v, Rat(2, 5), lambda: strategy_aps35(v, Rat(2, 5), 0))
+    worst = adversary_sweep_min(v, Rat(2, 5), lambda: STRATEGIES["aps35"](v, Rat(2, 5), 0))
     assert worst is not None
     assert worst >= 0
 
 
 def test_three_step_strategy_on_pair_instance():
     v, _, _ = pair_sum_valuation()
-    worst = adversary_sweep_min(v, Rat(1, 3), lambda: strategy_aps35(v, Rat(1, 3), 97))
+    worst = adversary_sweep_min(v, Rat(1, 3), lambda: STRATEGIES["aps35"](v, Rat(1, 3), 97))
     assert worst is not None
     assert worst >= Rat(3, 5) * 97
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,54 @@ def test_shares_malformed_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_undecodable_and_overlong_inputs_are_input_errors(tmp_path, capsys):
+    # Python refuses integer strings with more digits than its limit, both as
+    # JSON numbers and inside "p/q" strings.
+    long = "1" * (sys.get_int_max_str_digits() + 1)
+    inst = write(tmp_path, "inst.json", BASE_EXAMPLE)
+    alloc = write(tmp_path, "alloc.json", [[0], [1, 2, 3, 4]])
+    replay = str(tmp_path / "transcript.json")
+    assert run_cli(capsys, ["game", inst, "--strategies", "0=tps,1=tps", "--transcript", replay])[0] == 0
+    with open(replay, encoding="utf-8") as fh:
+        transcript = json.load(fh)
+
+    def raw(name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return str(path)
+
+    def marked(name, doc, field, literal):
+        # `doc` with its `field` set to the marker, which `literal` replaces.
+        doc = json.loads(json.dumps(doc))
+        node = doc
+        for k in field[:-1]:
+            node = node[k]
+        node[field[-1]] = "@"
+        return raw(name, json.dumps(doc).replace('"@"', literal).encode("utf-8"))
+
+    prices = ["1/5"] * 5
+    cases = [
+        (["shares", raw("inst.bin", b"\xe9")], "inst.bin: "),
+        (["verify", inst, raw("alloc.bin", b"\xe9")], "alloc.bin: "),
+        (["verify", inst, alloc, "--ce", raw("prices.bin", b"\xe9")], "prices.bin: "),
+        (["game", inst, "--replay", raw("replay.bin", b"\xe9")], "replay.bin: "),
+        (["shares", marked("i1.json", BASE_EXAMPLE, ("agents", 0, "values", 0), long)], "$: malformed JSON"),
+        (["verify", inst, marked("a1.json", [[0], [1]], (0, 0), long)], "allocation: malformed JSON"),
+        (["verify", inst, alloc, "--ce", marked("p1.json", prices, (0,), long)], "prices: malformed JSON"),
+        (["game", inst, "--replay", marked("t1.json", transcript, ("rounds", 0, "winner"), long)],
+         "transcript: malformed JSON"),
+        (["shares", marked("i2.json", BASE_EXAMPLE, ("agents", 0, "entitlement"), f'"1/{long}"')],
+         "agents[0].entitlement: "),
+        (["verify", inst, alloc, "--ce", marked("p2.json", prices, (0,), f'"{long}"')], "prices[0]: "),
+        (["game", inst, "--replay", marked("t2.json", transcript, ("rounds", 0, "bids", 0), f'"{long}"')],
+         "rounds[0].bids[0]: "),
+    ]
+    for argv, field in cases:
+        code, doc, err = run_cli(capsys, argv)
+        assert (code, doc) == (2, None), argv
+        assert err.startswith("error: ") and field in err, (argv, err[:200])
+
+
 def test_shares_guard_exit(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", "10")
     doc = {"agents": [{"entitlement": "1", "values": list(range(1, 13))}]}
@@ -112,9 +161,8 @@ def test_shares_huge_values_solve(tmp_path, capsys):
 
 def test_allocate_bidding_five_units(tmp_path, capsys):
     path = write(tmp_path, "units.json", FIVE_UNITS)
-    code, doc, _ = run_cli(capsys, ["allocate", path, "--method", "bidding", "--seed", "7"])
+    code, doc, _ = run_cli(capsys, ["allocate", path, "--method", "bidding"])
     assert code == 0
-    assert doc["seed"] == 7
     assert doc["report"]["all_passed"] is True
     assert all(len(b) >= 1 for b in doc["allocation"])
     assert len(doc["transcript"]["rounds"]) <= 5
@@ -301,6 +349,16 @@ def test_game_run_and_replay(tmp_path, capsys):
     assert code == 0
     assert doc["replay"] == "ok"
     assert doc["allocation"] == first_alloc
+
+
+@pytest.mark.parametrize("mode", [[], ["--adversary", "pattern:1"], ["--adversary", "worst"]])
+def test_game_transcript_path_it_cannot_write(tmp_path, capsys, mode):
+    units = write(tmp_path, "units.json", FIVE_UNITS)
+    for out in (tmp_path / "missing" / "transcript.json", tmp_path):
+        argv = ["game", units, "--strategies", "0=tps,1=tps,2=tps", *mode, "--transcript", str(out)]
+        code, doc, err = run_cli(capsys, argv)
+        assert (code, doc) == (2, None)
+        assert err.startswith(f"error: {out}: ")
 
 
 def test_game_replay_rejects_foreign_transcript(tmp_path, capsys):

@@ -7,14 +7,12 @@ import pytest
 from fairshare import (
     GuardError,
     Rat,
+    STRATEGIES,
     Valuation,
     aps_exact,
     enumerate_win_patterns,
     mms_exact,
     pessimistic_share_exact,
-    strategy_aps35,
-    strategy_bid_max_value,
-    strategy_tps,
     tps,
     wmms_exact,
     worst_case_adversary,
@@ -67,23 +65,23 @@ def test_brute_force_caps():
         mms_brute(Valuation((1, 1)), 5)
     assert exc.value.guard == "partition-brute-agents"
     with pytest.raises(GuardError) as exc:
-        game_tree_oracle(Valuation((1,) * 7), Rat(1, 2), strategy_tps(Valuation((1,) * 7), Rat(1, 2)))
+        game_tree_oracle(Valuation((1,) * 7), Rat(1, 2), STRATEGIES["tps"](Valuation((1,) * 7), Rat(1, 2), None))
     assert exc.value.guard == "game-tree-items"
 
 
 def test_game_tree_full_entitlement_takes_everything():
     v = base_valuation()
-    assert game_tree_oracle(v, Rat(1), strategy_tps(v, Rat(1))) == v.total
+    assert game_tree_oracle(v, Rat(1), STRATEGIES["tps"](v, Rat(1), None)) == v.total
 
 
 def test_game_tree_three_step_strategy_on_base_example():
     v = base_valuation()
-    assert game_tree_oracle(v, Rat(2, 5), strategy_aps35(v, Rat(2, 5), 2)) >= 2
+    assert game_tree_oracle(v, Rat(2, 5), STRATEGIES["aps35"](v, Rat(2, 5), 2)) >= 2
 
 
 def test_game_tree_max_value_bidder_on_three_units():
     v = unit_items(3)
-    assert game_tree_oracle(v, Rat(1, 3), strategy_bid_max_value(v, Rat(1, 3))) >= 1
+    assert game_tree_oracle(v, Rat(1, 3), STRATEGIES["maxval"](v, Rat(1, 3), None)) >= 1
 
 
 def test_game_tree_never_beats_pattern_adversary():
@@ -94,7 +92,7 @@ def test_game_tree_never_beats_pattern_adversary():
         v = rand_valuation(rng, m_max=5, vmax=6)
         den = rng.randint(2, 4)
         b = Rat(rng.randint(1, den - 1), den)
-        strat = strategy_tps(v, b)
+        strat = STRATEGIES["tps"](v, b, None)
         tree_value = game_tree_oracle(v, b, strat.clone())
         pattern_value = min(
             (

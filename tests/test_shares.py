@@ -17,6 +17,7 @@ from fairshare import (
     InputError,
     PriceCertificate,
     Rat,
+    STRATEGIES,
     Valuation,
     aps_exact,
     check_bundle_witness,
@@ -25,7 +26,6 @@ from fairshare import (
     mms_exact,
     pessimistic_share_exact,
     proportional_share,
-    strategy_tps,
     tps,
     two_agent_aps_allocation,
     unit_demand_aps,
@@ -417,6 +417,6 @@ def test_share_functions_validate_entitlement():
         with pytest.raises(InputError):
             pessimistic_share_exact(v, bad)
         with pytest.raises(InputError):
-            worst_case_adversary(v, bad, strategy_tps(v, Rat(2, 5)), (1,))
+            worst_case_adversary(v, bad, STRATEGIES["tps"](v, Rat(2, 5), None), (1,))
     # Plain ints are exact and still accepted.
     assert proportional_share(v, 1) == v.total
