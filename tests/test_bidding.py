@@ -373,6 +373,63 @@ def test_sweep_transcripts_pin_the_tie_rules():
     assert digest.hexdigest() == "4a74dbd78d494fa0e8809ff8d7ffd81ac9faf5b9c0960f89d23ec72c1dff5361"
 
 
+def test_sweep_transcripts_pin_rational_targets():
+    # The three-step bidder plays the two-stage bidder at target 2z/5 in a
+    # sub-game whose budgets sum to less than 1, so the two-stage bidder must
+    # give the same bids for a non-integer target and a scale other than 1 as
+    # for the integer ones the CLI passes. The digest pins them; 60 of the
+    # 360 sweeps enter stage 2 on some line.
+    rng = random.Random(59)
+    digest = hashlib.sha256()
+    lines = 0
+    for _ in range(40):
+        v = rand_valuation(rng, m_max=6, vmax=9)
+        den = rng.randint(2, 6)
+        b = Rat(rng.randint(1, den - 1), den)
+        z = rng.randint(1, max(1, v.total))
+        for target in (Rat(2, 5) * z, Rat(7, 3), Rat(z, 3)):
+            for scale in (Rat(1), Rat(3, 4), Rat(5, 7)):
+                sweep = worst_case_sweep(v, b, STRATEGIES["lemma34"](v, b, target, scale=scale))
+                for wins, t in sorted(sweep):
+                    digest.update(json.dumps([list(wins), t.to_json_dict()], sort_keys=True).encode())
+                    lines += 1
+    assert lines == 4095
+    assert digest.hexdigest() == "efc8a0d38df1dfd6381d68f3ba8bf4505d4ef2bbfddc5e01edeb8f442061a48a"
+
+
+def test_engine_bid_checks_keep_their_outcomes():
+    # An exact Rat just over the budget is a fault, however small the excess;
+    # int bids in range are accepted as Rat, and bool bids are faults.
+    class Fixed(Strategy):
+        def __init__(self, raw):
+            self.raw = raw
+
+        def bid(self, view):
+            return self.raw(view) if callable(self.raw) else self.raw
+
+        def select(self, view):
+            return (view.remaining[0],)
+
+    inst = make_instance([[2, 1], [2, 1]], [Rat(1, 2), Rat(1, 2)])
+    cases = [
+        (lambda view: view.budget + Rat(1, 10**9), True),
+        (lambda view: view.budget, False),
+        (0, False),
+        (1, True),
+        (True, True),
+        (False, True),
+    ]
+    for raw, fault in cases:
+        t = run_game(inst, [Fixed(raw), STRATEGIES["zero"](inst.valuations[1], Rat(1, 2), None)])
+        assert ("round 1: agent 0 bid fault" in t.flags) == fault, raw
+        first = t.rounds[0].bids[0]
+        assert type(first) is Rat
+        assert first == (0 if fault else (Rat(1, 2) if callable(raw) else raw))
+    t = run_game(make_instance([[2]], [Rat(1)]), [Fixed(1)])
+    assert not t.flags
+    assert t.rounds[0].bids == (Rat(1),) and type(t.rounds[0].bids[0]) is Rat
+
+
 def test_strategy_clone_is_independent():
     v = base_valuation()
     strat = STRATEGIES["tps"](v, Rat(2, 5), None)
