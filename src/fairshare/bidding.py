@@ -30,6 +30,7 @@ builds the strategy the CLI's `--strategies I=name[:z]` plays.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -44,6 +45,9 @@ from .core import (
     rat_to_str,
 )
 from .shares import _json_int, _json_list, _rank_item_value, tps
+
+# The zero bid; Fractions are immutable, so every zero bid can share it.
+_ZERO = Rat(0)
 
 
 @dataclass(frozen=True)
@@ -198,10 +202,13 @@ class _Game:
     def bid(self, i: int, strategy: Strategy) -> Rat:
         """Agent i's bid; an illegal one is flagged and becomes 0."""
         raw = strategy.bid(self._view(i))
-        if not isinstance(raw, bool) and isinstance(raw, (int, Rat)) and 0 <= raw <= self.budgets[i]:
-            return Rat(raw)
+        # A Rat bid is kept as it is; an int, or a Rat subclass, becomes a Rat.
+        if type(raw) is not Rat and not isinstance(raw, bool) and isinstance(raw, (int, Rat)):
+            raw = Rat(raw)
+        if type(raw) is Rat and 0 <= raw <= self.budgets[i]:
+            return raw
         self.flags.append(f"round {self.round_no}: agent {i} bid fault")
-        return Rat(0)
+        return _ZERO
 
     def select(self, i: int, strategy: Strategy, bid: Rat) -> tuple[int, ...]:
         """The winner's items, sorted; an illegal selection is flagged and
@@ -213,7 +220,7 @@ class _Game:
             and len(set(taken)) == len(taken)
             and set(taken) <= set(self.remaining)
             and all(isinstance(j, int) and not isinstance(j, bool) for j in taken)
-            and bid * len(taken) <= self.budgets[i]
+            and (bid if len(taken) == 1 else bid * len(taken)) <= self.budgets[i]
         ):
             return tuple(sorted(taken))
         self.flags.append(f"round {self.round_no}: agent {i} selection fault")
@@ -221,8 +228,7 @@ class _Game:
 
     def settle(self, bids: tuple[Rat, ...], winner: int, taken: tuple[int, ...]) -> None:
         """The winner pays her bid per item taken and the items leave play."""
-        # Most rounds take one item; skipping `bid * 1` saves a Fraction
-        # product in the adversary sweeps' hot loop.
+        # Most rounds take one item, so `select` and this skip `bid * 1`.
         payment = bids[winner] if len(taken) == 1 else bids[winner] * len(taken)
         self.budgets[winner] -= payment
         self.total -= payment
@@ -330,7 +336,7 @@ class _ZeroStrategy(Strategy):
         self.ranking = tuple(valuation.ranked_items())
 
     def bid(self, view: AgentView) -> Rat:
-        return Rat(0)
+        return _ZERO
 
     def select(self, view: AgentView) -> tuple[int, ...]:
         return _first(self.ranking, view.remaining)
@@ -349,12 +355,19 @@ class _BidMaxValue(Strategy):
     sub-game whose budgets sum to `scale` instead of 1; `universe` restricts
     the value mass to a sub-game's item set, which holds every item that
     remains in that sub-game.
+
+    `capped` and `total` are integers in units of 1/denominator(cap), plain
+    values when there is no cap; a bid is their ratio, so the unit cancels.
     """
 
     def __init__(self, valuation, cap=None, scale=Rat(1), universe=None) -> None:
         items = range(valuation.m) if universe is None else universe
         vals = valuation.item_values
-        self.capped = {j: vals[j] if cap is None else min(vals[j], cap) for j in items}
+        if cap is None:
+            self.capped = {j: vals[j] for j in items}
+        else:
+            cap = Rat(cap)
+            self.capped = {j: min(vals[j] * cap.denominator, cap.numerator) for j in items}
         self.ranking = _ranking(self.capped, items)
         self.total = sum(self.capped.values())
         self.scale = Rat(scale)
@@ -363,8 +376,8 @@ class _BidMaxValue(Strategy):
         # A zero top value also covers a zero total.
         x = self.capped[_first(self.ranking, view.remaining)[0]]
         if x <= 0:
-            return Rat(0)
-        return min(Rat(x) / self.total * self.scale, view.budget)
+            return _ZERO
+        return min(Rat(x * self.scale.numerator, self.total * self.scale.denominator), view.budget)
 
     def select(self, view: AgentView) -> tuple[int, ...]:
         return _first(self.ranking, view.remaining)
@@ -412,7 +425,7 @@ class _RescueBidder(Strategy):
 
     def select(self, view: AgentView) -> tuple[int, ...]:
         picked = _first(self.ranking, view.remaining, 2 if self.last_rule == 2 else 1)
-        if view.winning_bid is not None and view.winning_bid * len(picked) > view.budget:
+        if len(picked) == 2 and view.winning_bid is not None and view.winning_bid * 2 > view.budget:
             picked = picked[:1]
         return picked
 
@@ -423,11 +436,11 @@ class _TpsStrategy(_RescueBidder):
 
     def bid(self, view: AgentView) -> Rat:
         if self._retired(view):
-            return Rat(0)
+            return _ZERO
         s = sum(self.vals[j] for j in view.remaining)
         bt, total = view.budget, view.total_budget
         if s == 0 or total == 0:
-            return Rat(0)
+            return _ZERO
         x, y = self._top_two(view.remaining)
         if x * total >= bt * s:
             self.last_rule = 1
@@ -452,6 +465,11 @@ class _Lemma34Strategy(Strategy):
 
     Guarantees a bundle of value at least 3z/2 whenever no price vector
     summing to 1 prices every bundle of value z above b/2.
+
+    The `capped` values and their total `s` are integers in units of
+    1/denominator(z), so z itself is numerator(z) units; the stage-2 table
+    is rational, in the same units. A bid is a value over `s`, so the unit
+    cancels.
     """
 
     def __init__(self, valuation, b, z, scale=Rat(1), universe=None) -> None:
@@ -459,10 +477,12 @@ class _Lemma34Strategy(Strategy):
             raise InputError("strategies: lemma34 needs an explicit target, e.g. 0=lemma34:5")
         items = range(valuation.m) if universe is None else universe
         vals = valuation.item_values
-        self.capped = {j: min(Rat(vals[j]), Rat(z)) for j in items}
-        self.s = sum(self.capped.values(), Rat(0))
+        z = Rat(z)
+        self.capped = {j: min(vals[j] * z.denominator, z.numerator) for j in items}
+        self.s = sum(self.capped.values())
+        # Twice the 3z/2 target, so that the target tests stay in integers.
+        self.twice_target = 3 * z.numerator
         self.b0 = Rat(b)
-        self.z = Rat(z)
         self.scale = Rat(scale)
         self.stage = 1
         self.prev_full_bid = False
@@ -474,15 +494,15 @@ class _Lemma34Strategy(Strategy):
 
     def bid(self, view: AgentView) -> Rat:
         if self.done:
-            return Rat(0)
-        target = Rat(3, 2) * self.z
-        u = sum((self.capped.get(j, Rat(0)) for j in view.bundle), Rat(0))
-        if self.z <= 0 or self.s == 0 or u >= target:
+            return _ZERO
+        u = sum(self.capped.get(j, 0) for j in view.bundle)
+        # z <= 0 exactly when twice_target <= 0.
+        if self.twice_target <= 0 or self.s == 0 or 2 * u >= self.twice_target:
             self.done = True
-            return Rat(0)
+            return _ZERO
         top = _first(self.ranking, view.remaining)[0]
         if self.stage == 1:
-            if self.capped[top] + u >= target:
+            if 2 * (self.capped[top] + u) >= self.twice_target:
                 self.prev_full_bid = True
                 self.last_sel = (top,)
                 return view.budget
@@ -491,18 +511,19 @@ class _Lemma34Strategy(Strategy):
                 entry = view.budget / self.scale
                 if entry <= 0:
                     self.done = True
-                    return Rat(0)
+                    return _ZERO
                 ratio = (self.b0 - 2 * entry) / entry
                 self.table = {
-                    j: max(Rat(0), min(entry * self.s, ratio * self.capped[j])) for j in view.remaining
+                    j: max(_ZERO, min(entry * self.s, ratio * self.capped[j])) for j in view.remaining
                 }
                 self.ranking = _ranking(self.table, view.remaining)
                 top = self.ranking[0]
         self.last_sel = (top,)
         x = self.table[top]
         if x <= 0:
-            return Rat(0)
-        return min(x / self.s * self.scale, view.budget)
+            return _ZERO
+        # x is an int in stage 1 and a Rat in stage 2; either way one Rat.
+        return min(Rat(x * self.scale.numerator, self.s * self.scale.denominator), view.budget)
 
     def select(self, view: AgentView) -> tuple[int, ...]:
         if self.last_sel and set(self.last_sel) <= set(view.remaining):
@@ -527,8 +548,11 @@ class _Aps35Strategy(_RescueBidder):
     def __init__(self, valuation: Valuation, b: Rat, z, eight_fifteenths: bool = False) -> None:
         super().__init__(valuation)
         self.valuation = valuation
-        self.b = Rat(b)
         self.z = Rat(z)
+        # Values are integers, so a value reaches 3z/5 exactly when it reaches
+        # its ceiling; that ceiling is <= 0 exactly when z <= 0.
+        self.target = math.ceil(Rat(3, 5) * self.z)
+        self.half_b = Rat(b) / 2
         self.eight = eight_fifteenths
         self.delegate: Strategy | None = None
 
@@ -536,7 +560,7 @@ class _Aps35Strategy(_RescueBidder):
         pool = view.total_budget
         if pool <= 0:
             self.done = True
-            return Rat(0)
+            return _ZERO
         if self.eight:
             self.delegate = _BidMaxValue(self.valuation, scale=pool, universe=view.remaining)
         else:
@@ -549,17 +573,16 @@ class _Aps35Strategy(_RescueBidder):
         if self.delegate is not None:
             return self.delegate.bid(view)
         if self._retired(view):
-            return Rat(0)
-        if self.z <= 0:
+            return _ZERO
+        if self.target <= 0:
             return self._start_subgame(view)
-        target = Rat(3, 5) * self.z
         x, y = self._top_two(view.remaining)
-        if x >= target:
+        if x >= self.target:
             self.last_rule = 1
             return view.budget
-        if x + y >= target:
+        if x + y >= self.target:
             self.last_rule = 2
-            return min(self.b / 2, view.budget)
+            return min(self.half_b, view.budget)
         return self._start_subgame(view)
 
     def select(self, view: AgentView) -> tuple[int, ...]:
@@ -594,7 +617,7 @@ def _coalition_round(game: _Game, strategy: Strategy, bid: Rat, concede: bool) -
         game.flags.append(f"infeasible: coalition cannot outbid {rat_to_str(bid)} at round {game.round_no}")
         concede = True
     if concede and bid > 0:
-        game.settle((bid, Rat(0)), 0, game.select(0, strategy, bid))
+        game.settle((bid, _ZERO), 0, game.select(0, strategy, bid))
     else:
         # reached with bid <= the coalition's budget, or with bid == 0 on a
         # conceded round, where the outbid is free
@@ -674,9 +697,8 @@ def test_z_good(valuation: Valuation, b: Rat, z: int) -> bool:
     line that falls short."""
     if z <= 0:
         return True
-    target = Rat(3, 5) * z
     return all(
-        valuation.value(t.allocation.bundles[0]) >= target
+        5 * valuation.value(t.allocation.bundles[0]) >= 3 * z
         for _, t in worst_case_sweep(valuation, b, _Aps35Strategy(valuation, b, z))
     )
 

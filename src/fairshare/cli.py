@@ -232,10 +232,12 @@ def cmd_allocate(args) -> int:
         if inst.n != 2:
             print("error: two-agent allocation requires exactly 2 agents", file=sys.stderr)
             return 4
+        # Each APS is solved once and shared by the split and its check.
+        solved = [aps_exact(v, b) for v, b in zip(inst.valuations, inst.entitlements)]
         alloc = two_agent_aps_allocation(
-            inst.valuations[0], inst.valuations[1], inst.entitlements[0], inst.entitlements[1]
+            inst.valuations[0], inst.valuations[1], inst.entitlements[0], inst.entitlements[1], solved
         )
-        report = check_allocation(inst, alloc, "two-agent-aps")
+        report = check_allocation(inst, alloc, "two-agent-aps", solved)
     doc["allocation"] = [list(b) for b in alloc.bundles]
     doc["report"] = report.to_json_dict()
     _emit(doc)

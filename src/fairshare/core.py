@@ -59,7 +59,7 @@ def rat_to_str(r: Rat) -> str:
 
 def rat_from_str(text: str, path: str = "value") -> Rat:
     # strict wire format: optional sign, digits, optional /digits; no decimals
-    if not isinstance(text, str) or not re.fullmatch(r"-?\d+(?:/\d+)?", text):
+    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", text):
         raise InputError(f"{path}: not a rational 'p/q' or integer string: {text!r}")
     try:
         return Rat(text)

@@ -543,18 +543,21 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     return ApsResult(aps, cert, wit)
 
 
-def two_agent_aps_allocation(v1: Valuation, v2: Valuation, b1: Rat, b2: Rat) -> Allocation:
+def two_agent_aps_allocation(
+    v1: Valuation, v2: Valuation, b1: Rat, b2: Rat, solved: Sequence[ApsResult] | None = None
+) -> Allocation:
     """Split the items between two agents so each gets at least her APS.
 
     Scans agent 1's bundle witness: its coverage bound forces some support
     bundle whose complement is worth at least the proportional share, and
-    hence the APS, to agent 2.
+    hence the APS, to agent 2. `solved` is `(aps_exact(v1, b1),
+    aps_exact(v2, b2))` when the caller has them already.
     """
     b1, b2 = _check_entitlements((b1, b2))
     if v1.m != v2.m:
         raise InputError("valuations: item counts differ")
-    res1 = aps_exact(v1, b1)
-    aps2 = aps_exact(v2, b2).value
+    res1, res2 = solved if solved is not None else (aps_exact(v1, b1), aps_exact(v2, b2))
+    aps2 = res2.value
     everything = set(range(v1.m))
     for s in res1.witness.sets:
         comp = tuple(sorted(everything - set(s)))

@@ -10,9 +10,11 @@ exact; decimal fields in the JSON are 6-digit renderings for humans only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Allocation, GuardError, InputError, Instance, Rat, rat_to_str
 from .shares import (
+    ApsResult,
     _max_affordable_value,
     _rank_item_value,
     aps_exact,
@@ -77,11 +79,17 @@ class GuaranteeReport:
         }
 
 
-def check_allocation(inst: Instance, alloc: Allocation, bounds: str = "arbitrary-entitlements") -> GuaranteeReport:
+def check_allocation(
+    inst: Instance,
+    alloc: Allocation,
+    bounds: str = "arbitrary-entitlements",
+    solved: Sequence[ApsResult] | None = None,
+) -> GuaranteeReport:
     """Measure every agent's bundle against the chosen bound set.
 
     A zero threshold is a vacuous pass. Shares that exceed their size guard
-    are reported as None and excluded from the threshold.
+    are reported as None and excluded from the threshold. `solved` holds each
+    agent's `aps_exact` result when the caller has them already.
     """
     if bounds not in BOUND_SETS:
         raise InputError(f"bounds: expected one of {', '.join(BOUND_SETS)}, got {bounds!r}")
@@ -95,7 +103,7 @@ def check_allocation(inst: Instance, alloc: Allocation, bounds: str = "arbitrary
         v = inst.valuations[i]
         b = inst.entitlements[i]
         value = v.value(alloc.bundles[i])
-        aps = aps_exact(v, b).value
+        aps = (aps_exact(v, b) if solved is None else solved[i]).value
         t = tps(v, b)
         shares: dict[str, Rat | int | None] = {
             "proportional": proportional_share(v, b),

@@ -9,6 +9,8 @@ import pytest
 
 import fairshare.bidding
 import fairshare.cli
+import fairshare.shares
+import fairshare.verify
 from fairshare.bidding import GameTranscript, Strategy, _Game, enumerate_win_patterns, worst_case_adversary
 from fairshare.cli import STRATEGIES, main
 from fairshare.core import InputError, parse_instance
@@ -174,6 +176,45 @@ def test_allocate_two_agent(tmp_path, capsys):
     assert code == 0
     assert doc["report"]["bounds"] == "two-agent-aps"
     assert doc["report"]["all_passed"] is True
+
+
+def test_allocate_two_agent_solves_each_aps_once(tmp_path, capsys, monkeypatch):
+    # The split and its check share one aps_exact result per agent; the
+    # document equals the one the library gives when each solves its own.
+    rng = random.Random(5)
+    doc = {"agents": [{"entitlement": b, "values": [rng.randint(0, 20) for _ in range(8)]} for b in ("2/5", "3/5")]}
+    path = write(tmp_path, "two.json", doc)
+    with open(path, encoding="utf-8") as fh:
+        inst = parse_instance(fh.read())
+    alloc = fairshare.shares.two_agent_aps_allocation(*inst.valuations, *inst.entitlements)
+    expected = {
+        "method": "two-agent",
+        "allocation": [list(b) for b in alloc.bundles],
+        "report": fairshare.verify.check_allocation(inst, alloc, "two-agent-aps").to_json_dict(),
+    }
+    calls = []
+    real = fairshare.shares.aps_exact
+
+    def counted(valuation, b):
+        calls.append(b)
+        return real(valuation, b)
+
+    for module in (fairshare.cli, fairshare.shares, fairshare.verify):
+        monkeypatch.setattr(module, "aps_exact", counted)
+    code, out, _ = run_cli(capsys, ["allocate", path, "--method", "two-agent"])
+    assert code == 0
+    assert out == expected
+    assert calls == list(inst.entitlements)
+
+
+def test_non_ascii_digits_are_input_errors(tmp_path, capsys):
+    # Python's int() and Fraction() read any Unicode digit; the wire format
+    # takes ASCII digits only.
+    for entitlements in (["\u0663/\u0665", "2/5"], ["\u0661"]):
+        doc = {"agents": [{"entitlement": b, "values": [1, 2]} for b in entitlements]}
+        code, out, err = run_cli(capsys, ["shares", write(tmp_path, "inst.json", doc)])
+        assert (code, out) == (2, None)
+        assert f"agents[0].entitlement: not a rational 'p/q' or integer string: {entitlements[0]!r}" in err
 
 
 def test_allocate_method_mismatch(tmp_path, capsys):
