@@ -40,11 +40,18 @@ from .core import (
     Instance,
     Rat,
     Valuation,
+    _json_bundles,
+    _json_field,
+    _json_int,
+    _json_items,
+    _json_list,
+    _json_rat,
+    _json_rats,
+    _json_strs,
     check_entitlement,
-    rat_from_str,
     rat_to_str,
 )
-from .shares import _json_int, _json_list, _rank_item_value, tps
+from .shares import _rank_item_value, tps
 
 # The zero bid; Fractions are immutable, so every zero bid can share it.
 _ZERO = Rat(0)
@@ -138,34 +145,21 @@ class GameTranscript:
     @staticmethod
     def from_json_dict(doc: dict) -> "GameTranscript":
         """Parse `to_json_dict` output. Item indices and winners must be JSON
-        integers, bids and payments rational strings, flags strings; anything
-        else raises InputError naming the field."""
-        try:
-            rounds = tuple(
+        integers, bids and payments rationals, flags strings; anything else
+        raises InputError naming the field."""
+        rounds = []
+        for t, r in enumerate(_json_field(doc, "rounds", _json_list)):
+            at = f"rounds[{t}]"
+            rounds.append(
                 RoundRecord(
-                    bids=tuple(
-                        rat_from_str(x, f"rounds[{t}].bids[{i}]")
-                        for i, x in enumerate(_json_list(r["bids"], f"rounds[{t}].bids"))
-                    ),
-                    winner=_json_int(r["winner"], f"rounds[{t}].winner"),
-                    taken=tuple(sorted(_json_items(r["taken"], f"rounds[{t}].taken"))),
-                    payment=rat_from_str(r["payment"], f"rounds[{t}].payment"),
+                    bids=_json_field(r, "bids", _json_rats, at),
+                    winner=_json_field(r, "winner", _json_int, at),
+                    taken=tuple(sorted(_json_field(r, "taken", _json_items, at))),
+                    payment=_json_field(r, "payment", _json_rat, at),
                 )
-                for t, r in enumerate(_json_list(doc["rounds"], "rounds"))
             )
-            bundles = _json_list(doc["allocation"], "allocation")
-            alloc = Allocation(tuple(_json_items(bundle, f"allocation[{k}]") for k, bundle in enumerate(bundles)))
-            flags = tuple(_json_list(doc.get("flags", []), "flags"))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"transcript: malformed: {exc}") from None
-        for i, flag in enumerate(flags):
-            if not isinstance(flag, str):
-                raise InputError(f"flags[{i}]: expected a string, got {flag!r}")
-        return GameTranscript(rounds, alloc, flags)
-
-
-def _json_items(value, path: str) -> tuple[int, ...]:
-    return tuple(_json_int(j, f"{path}[{i}]") for i, j in enumerate(_json_list(value, path)))
+        alloc = Allocation(_json_field(doc, "allocation", _json_bundles))
+        return GameTranscript(tuple(rounds), alloc, _json_strs(doc.get("flags", []), "flags"))
 
 
 def _pick_winner(bids: Sequence[Rat], avoid) -> int:

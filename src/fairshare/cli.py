@@ -33,9 +33,12 @@ from .core import (
     GuardError,
     InputError,
     Instance,
-    Rat,
+    _int_from_str,
+    _json_array_doc,
+    _json_bundles,
+    _json_doc,
+    _json_rats,
     parse_instance,
-    rat_from_str,
     rat_to_str,
 )
 from .greedy_efx import greedy_efx_full
@@ -70,56 +73,13 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(_read(path))
 
 
-def _load_json(path: str, what: str) -> object:
-    try:
-        return json.loads(_read(path))
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer past Python's int-string limit
-        raise InputError(f"{what}: malformed JSON: {exc}") from None
-
-
-def _load_allocation(path: str, n: int) -> Allocation:
-    doc = _load_json(path, "allocation")
-    if isinstance(doc, dict):
-        doc = doc.get("allocation")
-    if not isinstance(doc, list):
-        raise InputError("allocation: expected an array of bundles")
-    if len(doc) != n:
-        raise InputError(f"allocation: expected {n} bundles, got {len(doc)}")
-    bundles = []
-    for i, bundle in enumerate(doc):
-        if not isinstance(bundle, list) or not all(
-            isinstance(j, int) and not isinstance(j, bool) for j in bundle
-        ):
-            raise InputError(f"allocation[{i}]: expected an array of item indices")
-        bundles.append(tuple(bundle))
-    return Allocation(tuple(bundles))
-
-
-def _load_prices(path: str, m: int) -> tuple[Rat, ...]:
-    doc = _load_json(path, "prices")
-    if isinstance(doc, dict):
-        doc = doc.get("prices")
-    if not isinstance(doc, list) or len(doc) != m:
-        raise InputError(f"prices: expected an array of {m} rationals")
-    out = []
-    for j, p in enumerate(doc):
-        if isinstance(p, int) and not isinstance(p, bool):
-            out.append(Rat(p))
-        elif isinstance(p, str):
-            out.append(rat_from_str(p, f"prices[{j}]"))
-        else:
-            raise InputError(f"prices[{j}]: expected a 'p/q' or integer string")
-    return tuple(out)
-
-
 def _parse_tie_break(text: str, n: int):
     if text == "lowest":
         return "lowest"
     if not text.startswith("avoid:"):
         raise InputError(f"tie-break: expected 'lowest' or 'avoid:I', got {text!r}")
     try:
-        tie_break = ("avoid", int(text.split(":", 1)[1]))
+        tie_break = ("avoid", _int_from_str(text.split(":", 1)[1]))
     except ValueError:
         raise InputError(f"tie-break: bad agent index in {text!r}") from None
     avoided_agent(tie_break, n)
@@ -138,17 +98,19 @@ def _parse_strategy_specs(text: str | None, n: int) -> dict[int, tuple[str, int 
             raise InputError(f"strategies: expected I=name entries, got {part!r}")
         left, right = part.split("=", 1)
         try:
-            agent = int(left)
+            agent = _int_from_str(left)
         except ValueError:
             raise InputError(f"strategies: bad agent index {left!r}") from None
         if not (0 <= agent < n):
             raise InputError(f"strategies: agent {agent} out of range")
+        if agent in specs:
+            raise InputError(f"strategies: agent {agent} given twice")
         z: int | None = None
         name = right
         if ":" in right:
             name, ztext = right.split(":", 1)
             try:
-                z = int(ztext)
+                z = _int_from_str(ztext)
             except ValueError:
                 raise InputError(f"strategies: bad target {ztext!r} for agent {agent}") from None
         if name not in STRATEGIES:
@@ -249,11 +211,11 @@ def cmd_allocate(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    alloc = _load_allocation(args.allocation, inst.n)
+    alloc = Allocation(_json_array_doc(_read(args.allocation), "allocation", _json_bundles))
     doc: dict = {"allocation": [list(b) for b in alloc.bundles]}
     failed = False
     if args.ce is not None:
-        prices = _load_prices(args.ce, inst.m)
+        prices = _json_array_doc(_read(args.ce), "prices", _json_rats)
         ok = check_ce(inst, alloc, prices)
         doc["ce"] = ok
         failed = failed or not ok
@@ -273,10 +235,7 @@ def cmd_game(args) -> int:
     inst = _load_instance(args.instance)
     tie_break = _parse_tie_break(args.tie_break, inst.n)
     if args.replay is not None:
-        raw = _load_json(args.replay, "transcript")
-        if not isinstance(raw, dict):
-            raise InputError("transcript: expected a JSON object")
-        transcript = GameTranscript.from_json_dict(raw)
+        transcript = GameTranscript.from_json_dict(_json_doc(_read(args.replay), "transcript"))
         alloc = replay_transcript(inst, transcript)
         _emit({"replay": "ok", "allocation": [list(b) for b in alloc.bundles]})
         return 0
@@ -343,7 +302,7 @@ def _parse_pattern(text: str) -> tuple[int, ...]:
     if not body:
         return ()
     try:
-        wins = tuple(int(x) for x in body.split(","))
+        wins = tuple(_int_from_str(x) for x in body.split(","))
     except ValueError:
         raise InputError(f"adversary: bad pattern {body!r}") from None
     return wins
@@ -372,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shares", help="compute share values for the agents of an instance")
     p.add_argument("instance")
-    p.add_argument("--agent", type=int, default=None, help="only this agent (default: all)")
+    p.add_argument("--agent", type=_int_from_str, default=None, help="only this agent (default: all)")
     p.add_argument(
         "--notions",
         default="proportional,tps,aps,pessimistic",
@@ -396,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="run bidding games, adversary sweeps, or replays")
     p.add_argument("instance")
     p.add_argument("--strategies", default=None, help="e.g. '0=aps35,1=tps,2=aps35:7'")
-    p.add_argument("--focal", type=int, default=0, help="agent under test in adversary mode")
+    p.add_argument("--focal", type=_int_from_str, default=0, help="agent under test in adversary mode")
     p.add_argument("--adversary", default=None, help="'worst' or 'pattern:K[,L]'")
     p.add_argument("--tie-break", default="lowest", help="'lowest' or 'avoid:I'")
     p.add_argument("--transcript", default=None, metavar="OUT", help="write the transcript JSON here")
@@ -419,9 +378,5 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -1,8 +1,14 @@
-"""Exact-rational domain model, instance I/O, and the ordered-instance reduction.
+"""Exact-rational domain model, the JSON wire format, and the ordered-instance reduction.
 
 All quantities are either Python ints (item values) or `Rat` (entitlements,
 bids, budgets, prices, weights). There is no floating point anywhere in the
 package; every comparison that decides an outcome is exact.
+
+Every input document (instance, allocation, prices, the APS certificates and
+bidding transcripts) is read through the `_json_*` readers here, one per JSON
+shape, so each shape is checked one way and every fault raises `InputError`
+naming its field path. A rational is a `"p/q"` or integer string of ASCII
+digits, or a JSON integer.
 """
 
 from __future__ import annotations
@@ -68,6 +74,74 @@ def rat_from_str(text: str, path: str = "value") -> Rat:
     except ValueError as exc:
         # more digits than Python's int-string limit allows
         raise InputError(f"{path}: {exc}") from None
+
+
+def _int_from_str(text: str) -> int:
+    """`int(text)` for ASCII digits only, as `rat_from_str` reads them; raises
+    ValueError, as `int` does, on anything else."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer string: {text!r}")
+    return int(text)
+
+
+def _json_doc(text: str, what: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past Python's int-string limit
+        raise InputError(f"{what}: malformed JSON: {exc}") from None
+
+
+def _json_array_doc(text: str, key: str, read):
+    """`read(array, key)` for a document that is a bare array or an object
+    holding it under `key`."""
+    doc = _json_doc(text, key)
+    return read(doc.get(key) if isinstance(doc, dict) else doc, key)
+
+
+def _json_field(doc, key: str, read, at: str = ""):
+    """`read(doc[key], path)` for the object `doc` at field path `at`."""
+    path = f"{at}.{key}" if at else key
+    if not isinstance(doc, dict) or key not in doc:
+        raise InputError(f"{path}: missing")
+    return read(doc[key], path)
+
+
+def _json_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{path}: expected an array, got {value!r}")
+    return value
+
+
+def _json_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _json_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _json_rat(value, path: str) -> Rat:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Rat(value)
+    if not isinstance(value, str):
+        raise InputError(f"{path}: expected a 'p/q' or integer string, got {value!r}")
+    return rat_from_str(value, path)
+
+
+def _json_each(read):
+    """The reader of an array whose entries each pass `read`, as a tuple."""
+    return lambda value, path: tuple(read(x, f"{path}[{i}]") for i, x in enumerate(_json_list(value, path)))
+
+
+_json_items = _json_each(_json_int)
+_json_bundles = _json_each(_json_items)
+_json_rats = _json_each(_json_rat)
+_json_strs = _json_each(_json_str)
 
 
 @dataclass(frozen=True)
@@ -156,7 +230,8 @@ def make_instance(
         raise InputError("agents: expected at least one agent")
     if len(entitlements) != len(values):
         raise InputError("entitlements: one entitlement per agent required")
-    m = len(values[0])
+    # Item names, when given, fix the item count that every row must match.
+    m = len(values[0]) if item_names is None else len(item_names)
     vals = []
     for i, row in enumerate(values):
         if len(row) != m:
@@ -172,9 +247,7 @@ def make_instance(
     names = tuple(agent_names) if agent_names else tuple(f"agent{i}" for i in range(len(values)))
     if len(names) != len(values):
         raise InputError("agents: name count does not match agent count")
-    items = tuple(item_names) if item_names else tuple(f"item{j}" for j in range(m))
-    if len(items) != m:
-        raise InputError(f"items: expected {m} names, got {len(items)}")
+    items = tuple(item_names) if item_names is not None else tuple(f"item{j}" for j in range(m))
     return Instance(tuple(vals), ents, names, items)
 
 
@@ -182,55 +255,21 @@ def parse_instance(text: str) -> Instance:
     """Parse and validate the JSON instance document.
 
     Schema: {"items": [names...]?, "agents": [{"name"?: str,
-    "entitlement": "p/q" or integer string, "values": [non-negative ints]}]}.
+    "entitlement": rational, "values": [non-negative ints]}]}.
     Errors carry the field path of the offending element.
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer past Python's int-string limit
-        raise InputError(f"$: malformed JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InputError("$: expected a JSON object")
-    agents = doc.get("agents")
-    if not isinstance(agents, list) or not agents:
-        raise InputError("agents: expected a non-empty array")
-    item_names = None
-    if "items" in doc:
-        raw_items = doc["items"]
-        if not isinstance(raw_items, list) or not all(isinstance(s, str) for s in raw_items):
-            raise InputError("items: expected an array of strings")
-        item_names = list(raw_items)
-    values: list[list[int]] = []
-    ents: list[Rat] = []
-    names: list[str] = []
+    doc = _json_doc(text, "$")
+    agents = _json_field(doc, "agents", _json_list)
+    item_names = _json_strs(doc["items"], "items") if "items" in doc else None
+    values, ents, names = [], [], []
     for i, agent in enumerate(agents):
-        if not isinstance(agent, dict):
-            raise InputError(f"agents[{i}]: expected an object")
-        if "entitlement" not in agent:
-            raise InputError(f"agents[{i}].entitlement: missing")
-        raw_b = agent["entitlement"]
-        path = f"agents[{i}].entitlement"
-        if isinstance(raw_b, str):
-            b = rat_from_str(raw_b, path)
-        elif isinstance(raw_b, int) and not isinstance(raw_b, bool):
-            b = Rat(raw_b)
-        else:
-            raise InputError(f"{path}: expected a 'p/q' or integer string")
-        ents.append(check_entitlement(b, path))
-        row = agent.get("values")
-        if not isinstance(row, list):
-            raise InputError(f"agents[{i}].values: expected an array")
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise InputError(f"agents[{i}].values[{j}]: expected a non-negative integer")
-        values.append(row)
+        at = f"agents[{i}]"
+        ents.append(_json_field(agent, "entitlement", _json_rat, at))
+        values.append(_json_field(agent, "values", _json_list, at))
         name = agent.get("name")
-        if name is not None and not isinstance(name, str):
-            raise InputError(f"agents[{i}].name: expected a string")
+        if name is not None:
+            _json_str(name, f"{at}.name")
         names.append(name or f"agent{i}")
-    if item_names is not None and values and len(values[0]) != len(item_names):
-        raise InputError(f"agents[0].values: expected {len(item_names)} values, got {len(values[0])}")
     return make_instance(values, ents, names, item_names)
 
 
@@ -288,6 +327,13 @@ class Allocation:
             raise InputError(f"allocation: items {missing} unallocated")
 
 
+def _check_fits(inst: Instance, alloc: Allocation) -> None:
+    """`alloc` is an allocation of `inst`: every item once, one bundle per agent."""
+    alloc.require_full(inst.m)
+    if alloc.n != inst.n:
+        raise InputError(f"allocation: expected {inst.n} bundles, got {alloc.n}")
+
+
 @dataclass(frozen=True)
 class OrderedReduction:
     """An instance with each agent's values sorted non-increasing, plus the
@@ -334,10 +380,8 @@ def lift_allocation(inst: Instance, ordered_alloc: Allocation) -> Allocation:
     every agent, original value of the lifted bundle >= ordered value of the
     ordered bundle.
     """
+    _check_fits(inst, ordered_alloc)
     m = inst.m
-    ordered_alloc.require_full(m)
-    if ordered_alloc.n != inst.n:
-        raise InputError(f"allocation: expected {inst.n} bundles, got {ordered_alloc.n}")
     holder = [0] * m
     for i, bundle in enumerate(ordered_alloc.bundles):
         for r in bundle:

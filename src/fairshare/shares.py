@@ -7,7 +7,8 @@ MMS, l-out-of-d, pessimistic) return ints; the scale-dependent ones
 
 `aps_exact` returns the share value together with two independently
 checkable certificates: a price vector proving the upper bound and a
-weighted bundle collection proving the lower bound.
+weighted bundle collection proving the lower bound. Their JSON forms are
+read back through the wire-format readers of `core`, as every input is.
 
 The partition shares (MMS, l-out-of-d, pessimistic, WMMS) are one branch
 and bound, `_partition_search`; each picks the integer bundle weights, how
@@ -27,9 +28,13 @@ from .core import (
     Rat,
     Valuation,
     _check_entitlements,
+    _json_bundles,
+    _json_field,
+    _json_int,
+    _json_rat,
+    _json_rats,
     check_entitlement,
     guard_limit,
-    rat_from_str,
     rat_to_str,
 )
 from .lp import ColumnLP
@@ -308,24 +313,6 @@ def wmms_exact(entitlements: Sequence[Rat], i: int, valuation: Valuation) -> Rat
 # AnyPrice share with certificates.
 
 
-def _json_field(doc: dict, key: str):
-    if not isinstance(doc, dict) or key not in doc:
-        raise InputError(f"{key}: missing")
-    return doc[key]
-
-
-def _json_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise InputError(f"{path}: expected an array, got {value!r}")
-    return value
-
-
-def _json_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class PriceCertificate:
     """Upper-bound certificate: non-negative prices summing to at most 1 under
@@ -344,10 +331,11 @@ class PriceCertificate:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "PriceCertificate":
-        raw = _json_list(_json_field(doc, "prices"), "prices")
-        prices = tuple(rat_from_str(s, f"prices[{j}]") for j, s in enumerate(raw))
-        budget = rat_from_str(_json_field(doc, "budget"), "budget")
-        return PriceCertificate(prices, budget, _json_int(_json_field(doc, "value_bound"), "value_bound"))
+        return PriceCertificate(
+            _json_field(doc, "prices", _json_rats),
+            _json_field(doc, "budget", _json_rat),
+            _json_field(doc, "value_bound", _json_int),
+        )
 
 
 @dataclass(frozen=True)
@@ -368,13 +356,11 @@ class BundleWitness:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "BundleWitness":
-        sets = tuple(
-            tuple(sorted(_json_int(j, f"sets[{k}][{i}]") for i, j in enumerate(_json_list(s, f"sets[{k}]"))))
-            for k, s in enumerate(_json_list(_json_field(doc, "sets"), "sets"))
+        return BundleWitness(
+            tuple(tuple(sorted(s)) for s in _json_field(doc, "sets", _json_bundles)),
+            _json_field(doc, "weights", _json_rats),
+            _json_field(doc, "value_floor", _json_int),
         )
-        raw = _json_list(_json_field(doc, "weights"), "weights")
-        weights = tuple(rat_from_str(s, f"weights[{j}]") for j, s in enumerate(raw))
-        return BundleWitness(sets, weights, _json_int(_json_field(doc, "value_floor"), "value_floor"))
 
 
 class ApsResult(NamedTuple):

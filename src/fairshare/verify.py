@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Allocation, GuardError, InputError, Instance, Rat, rat_to_str
+from .core import Allocation, GuardError, InputError, Instance, Rat, _check_fits, rat_to_str
 from .shares import (
     ApsResult,
     _max_affordable_value,
@@ -93,9 +93,7 @@ def check_allocation(
     """
     if bounds not in BOUND_SETS:
         raise InputError(f"bounds: expected one of {', '.join(BOUND_SETS)}, got {bounds!r}")
-    alloc.require_full(inst.m)
-    if alloc.n != inst.n:
-        raise InputError(f"allocation: expected {inst.n} bundles, got {alloc.n}")
+    _check_fits(inst, alloc)
     if bounds == "two-agent-aps" and inst.n != 2:
         raise InputError(f"bounds: two-agent-aps needs exactly 2 agents, got {inst.n}")
     agents = []
@@ -137,9 +135,7 @@ def check_ce(inst: Instance, alloc: Allocation, prices: tuple[Rat, ...]) -> bool
     passes, every agent is guaranteed her full AnyPrice share, and this is
     re-checked here (raising AssertionError, also under python -O).
     """
-    alloc.require_full(inst.m)
-    if alloc.n != inst.n:
-        raise InputError(f"allocation: expected {inst.n} bundles, got {alloc.n}")
+    _check_fits(inst, alloc)
     if len(prices) != inst.m:
         raise InputError(f"prices: expected {inst.m}, got {len(prices)}")
     if any(p < 0 for p in prices):

@@ -215,6 +215,22 @@ def test_non_ascii_digits_are_input_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, ["shares", write(tmp_path, "inst.json", doc)])
         assert (code, out) == (2, None)
         assert f"agents[0].entitlement: not a rational 'p/q' or integer string: {entitlements[0]!r}" in err
+    # Nor in the integers of the command line.
+    inst = write(tmp_path, "inst.json", BASE_EXAMPLE)
+    for argv in (
+        ["game", inst, "--strategies", "0=aps35:\u0663"],
+        ["game", inst, "--strategies", "\u0660=tps"],
+        ["game", inst, "--tie-break", "avoid:\u0661"],
+        ["game", inst, "--adversary", "pattern:\u0661"],
+        ["game", inst, "--adversary", "worst", "--focal", "\u0661"],
+        ["shares", inst, "--agent", "\u0661"],
+    ):
+        try:
+            code, out, _ = run_cli(capsys, argv)
+        except SystemExit as exc:
+            # argparse refuses a bad --agent or --focal itself
+            code, out = exc.code, capsys.readouterr().out or None
+        assert (code, out) == (2, None), argv
 
 
 def test_allocate_method_mismatch(tmp_path, capsys):
@@ -427,15 +443,27 @@ _TAMPERED = [
     (("allocation",), "abc", "allocation"),
     (("flags",), "abc", "flags"),
     (("flags",), [1], "flags[0]"),
+    (("rounds", 0, "bids", 0), 0.2, "rounds[0].bids[0]"),
+    (("rounds", 0, "bids", 0), True, "rounds[0].bids[0]"),
+    (("rounds", 0, "payment"), 0.2, "rounds[0].payment"),
+    (("rounds", 0, "payment"), False, "rounds[0].payment"),
+    (("allocation",), [[0.0], [1]], "allocation[0][0]"),
+    (("rounds", 2, "bids", 1), 0, None),
+    (("rounds", 0, "payment"), 1, None),
 ]
 
 
 @pytest.mark.parametrize(
-    "key, value, field", _TAMPERED, ids=[f"{field}={value!r}" for _, value, field in _TAMPERED]
+    "key, value, field",
+    _TAMPERED,
+    ids=[f"{field or '.'.join(map(str, key))}={value!r}" for key, value, field in _TAMPERED],
 )
 def test_transcript_fields_must_have_their_json_types(tmp_path, capsys, key, value, field):
     # Winners and item indices are JSON integers, never floats, strings or
-    # bools, and flags a list of strings, as in the share certificates.
+    # bools, and flags a list of strings, as in the share certificates. Bids
+    # and payments are rationals: a JSON integer (field None) reads as its
+    # integer string does. An allocation file is read as the transcript's
+    # allocation is.
     units = write(tmp_path, "units.json", FIVE_UNITS)
     out_path = str(tmp_path / "transcript.json")
     assert run_cli(capsys, ["game", units, "--strategies", "0=tps,1=tps,2=tps", "--transcript", out_path])[0] == 0
@@ -445,6 +473,11 @@ def test_transcript_fields_must_have_their_json_types(tmp_path, capsys, key, val
     for k in key[:-1]:
         node = node[k]
     node[key[-1]] = value
+    if field is None:
+        parsed = GameTranscript.from_json_dict(doc)
+        node[key[-1]] = str(value)
+        assert parsed == GameTranscript.from_json_dict(doc)
+        return
     with pytest.raises(InputError) as exc:
         GameTranscript.from_json_dict(doc)
     assert str(exc.value).startswith(f"{field}: expected ")
@@ -452,6 +485,10 @@ def test_transcript_fields_must_have_their_json_types(tmp_path, capsys, key, val
     code, out, err = run_cli(capsys, ["game", units, "--replay", bad])
     assert (code, out) == (2, None)
     assert f"{field}: expected " in err
+    if key[0] == "allocation":
+        code, out, err = run_cli(capsys, ["verify", units, write(tmp_path, "alloc.json", doc["allocation"])])
+        assert (code, out) == (2, None)
+        assert err.startswith(f"error: {field}: expected ")
 
 
 def test_game_worst_sweep_work_counts(tmp_path, capsys, monkeypatch):
@@ -490,10 +527,11 @@ def test_game_worst_sweep_work_counts(tmp_path, capsys, monkeypatch):
 
 def test_game_strategy_spec_errors(tmp_path, capsys):
     inst_path = write(tmp_path, "inst.json", BASE_EXAMPLE)
-    for spec in ("0=bogus", "9=tps", "0=lemma34", "tps"):
+    for spec in ("0=bogus", "9=tps", "0=lemma34", "tps", "0=tps,0=zero"):
         code, _, err = run_cli(capsys, ["game", inst_path, "--strategies", spec])
         assert code == 2
         assert "strategies" in err
+    assert "strategies: agent 0 given twice" in err
 
 
 def test_game_explicit_target_accepted(tmp_path, capsys):
