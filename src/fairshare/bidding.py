@@ -9,10 +9,12 @@ a safe fallback and flagging the transcript on any illegal move.
 One engine applies every round: `run_game` plays strategies through it,
 `replay_transcript` re-applies the recorded rounds once each has passed its
 checks, and `worst_case_adversary` plays a focal agent against the pooled
-coalition as the second agent of the same game. `worst_case_sweep` plays
-every concession pattern against that coalition as one prefix tree: a line
-forks a copy of the game and of the strategy wherever the coalition may
-still concede, so rounds shared by several patterns are played once.
+coalition as the second agent of the same game. It keeps money as integers
+over a common denominator; strategies see `Rat` budgets. `worst_case_sweep`
+plays every concession pattern against that coalition as one prefix tree: a
+line forks a copy of the game and of the strategy wherever the coalition
+may still concede, so rounds shared by several patterns are played once;
+`test_z_good` ends each line once its outcome is decided.
 
 The strategies here carry worst-case guarantees against arbitrary opponent
 coalitions, expressed against the bidder's own share values. `meta_strategy`
@@ -94,7 +96,16 @@ class Strategy:
         raise NotImplementedError
 
     def clone(self) -> "Strategy":
-        return copy.copy(self)
+        return _copy(self)
+
+
+def _copy(obj):
+    """A shallow copy: the instance `__dict__`, or `copy.copy` for slots."""
+    if hasattr(obj, "__slots__"):
+        return copy.copy(obj)
+    twin = type(obj).__new__(type(obj))
+    twin.__dict__.update(obj.__dict__)
+    return twin
 
 
 def _ranking(scores, items) -> tuple[int, ...]:
@@ -172,21 +183,40 @@ def _pick_winner(bids: Sequence[Rat], avoid) -> int:
 class _Game:
     """One play of the bidding game. `bid` and `select` get checked moves from
     strategies, flagging faults; `settle`, the only move that touches
-    budgets, items or bundles, applies a round's outcome."""
+    budgets, items or bundles, applies a round's outcome. `cash` holds each
+    budget and, last, their total, as integers over `den`, which grows
+    whenever a payment's denominator does not divide it; views show them as
+    `Rat`s, each built once per payment that changes it."""
 
     def __init__(self, budgets: Sequence[Rat], valuations: Sequence[Valuation]) -> None:
-        self.budgets = list(budgets)
-        self.total = sum(self.budgets, Rat(0))
+        self.den = math.lcm(*(x.denominator for x in budgets))
+        self.cash = [x.numerator * (self.den // x.denominator) for x in budgets]
+        self.cash.append(sum(self.cash))
+        self.shown: list[Rat | None] = list(budgets) + [None]
         self.rankings = [v.ranked_items() for v in valuations]
         self.remaining = list(range(valuations[0].m))
-        self.bundles: list[list[int]] = [[] for _ in self.budgets]
+        self.bundles: list[list[int]] = [[] for _ in budgets]
         self.rounds: list[RoundRecord] = []
         self.flags: list[str] = []
         self.round_no = 1
 
+    # The transcript's test, on the flags so far.
+    infeasible = GameTranscript.infeasible
+
+    def budget(self, i: int) -> Rat:
+        """Agent i's budget as a Rat; i = -1 gives the pooled total."""
+        shown = self.shown[i]
+        if shown is None:
+            shown = self.shown[i] = Rat(self.cash[i], self.den)
+        return shown
+
+    def fits(self, i: int, x: Rat, k: int = 1) -> bool:
+        """0 <= k * x <= agent i's budget."""
+        return x.numerator >= 0 and x.numerator * k * self.den <= self.cash[i] * x.denominator
+
     def _view(self, i: int, winning_bid: Rat | None = None) -> AgentView:
         return AgentView(
-            self.round_no, tuple(self.remaining), self.budgets[i], self.total, tuple(self.bundles[i]), winning_bid
+            self.round_no, tuple(self.remaining), self.budget(i), self.budget(-1), tuple(self.bundles[i]), winning_bid
         )
 
     def top(self, i: int) -> tuple[int, ...]:
@@ -199,7 +229,7 @@ class _Game:
         # A Rat bid is kept as it is; an int, or a Rat subclass, becomes a Rat.
         if type(raw) is not Rat and not isinstance(raw, bool) and isinstance(raw, (int, Rat)):
             raw = Rat(raw)
-        if type(raw) is Rat and 0 <= raw <= self.budgets[i]:
+        if type(raw) is Rat and self.fits(i, raw):
             return raw
         self.flags.append(f"round {self.round_no}: agent {i} bid fault")
         return _ZERO
@@ -214,7 +244,7 @@ class _Game:
             and len(set(taken)) == len(taken)
             and set(taken) <= set(self.remaining)
             and all(isinstance(j, int) and not isinstance(j, bool) for j in taken)
-            and (bid if len(taken) == 1 else bid * len(taken)) <= self.budgets[i]
+            and self.fits(i, bid, len(taken))
         ):
             return tuple(sorted(taken))
         self.flags.append(f"round {self.round_no}: agent {i} selection fault")
@@ -222,10 +252,18 @@ class _Game:
 
     def settle(self, bids: tuple[Rat, ...], winner: int, taken: tuple[int, ...]) -> None:
         """The winner pays her bid per item taken and the items leave play."""
-        # Most rounds take one item, so `select` and this skip `bid * 1`.
+        # Most rounds take one item, so this skips `bid * 1`.
         payment = bids[winner] if len(taken) == 1 else bids[winner] * len(taken)
-        self.budgets[winner] -= payment
-        self.total -= payment
+        if payment:
+            q = payment.denominator
+            if self.den % q:
+                grow = q // math.gcd(self.den, q)
+                self.den *= grow
+                self.cash = [c * grow for c in self.cash]
+            units = payment.numerator * (self.den // q)
+            self.cash[winner] -= units
+            self.cash[-1] -= units
+            self.shown[winner] = self.shown[-1] = None
         self.bundles[winner].extend(taken)
         gone = set(taken)
         self.remaining = [j for j in self.remaining if j not in gone]
@@ -233,10 +271,11 @@ class _Game:
         self.round_no += 1
 
     def fork(self) -> "_Game":
-        """An independent copy of the play so far; only the values are shared."""
-        twin = copy.copy(self)
-        twin.budgets = self.budgets[:]
-        twin.remaining = self.remaining[:]
+        """An independent copy of the play so far; only the values are shared,
+        and `remaining`, which `settle` replaces rather than changes."""
+        twin = _copy(self)
+        twin.cash = self.cash[:]
+        twin.shown = self.shown[:]
         twin.bundles = [bundle[:] for bundle in self.bundles]
         twin.rounds = self.rounds[:]
         twin.flags = self.flags[:]
@@ -277,7 +316,7 @@ def run_game(
         winner = _pick_winner(bids, avoid)
         game.settle(bids, winner, game.select(winner, strategies[winner], bids[winner]))
     paid = sum((r.payment for r in game.rounds), Rat(0))
-    if sum(game.budgets, Rat(0)) + paid != 1:
+    if sum((game.budget(i) for i in range(inst.n)), Rat(0)) + paid != 1:
         raise AssertionError("budget conservation violated")
     return game.transcript()
 
@@ -295,7 +334,7 @@ def replay_transcript(inst: Instance, transcript: GameTranscript) -> Allocation:
         if len(r.bids) != inst.n:
             raise InputError(f"{where}: expected {inst.n} bids, got {len(r.bids)}")
         for i, bid in enumerate(r.bids):
-            if not (0 <= bid <= game.budgets[i]):
+            if not game.fits(i, bid):
                 raise InputError(f"{where}.bids[{i}]: {rat_to_str(bid)} outside [0, budget]")
         if not (0 <= r.winner < inst.n):
             raise InputError(f"{where}.winner: agent {r.winner} out of range")
@@ -308,7 +347,7 @@ def replay_transcript(inst: Instance, transcript: GameTranscript) -> Allocation:
         expect = r.bids[r.winner] * len(r.taken)
         if r.payment != expect:
             raise InputError(f"{where}.payment: {rat_to_str(r.payment)} != {rat_to_str(expect)}")
-        if expect > game.budgets[r.winner]:
+        if not game.fits(r.winner, expect):
             raise InputError(f"{where}.payment: exceeds winner budget")
         game.settle(r.bids, r.winner, r.taken)
     if game.remaining:
@@ -588,7 +627,7 @@ class _Aps35Strategy(_RescueBidder):
         twin = super().clone()
         if self.delegate is not None:
             # The sub-game bidder holds no strategy, so a copy suffices.
-            twin.delegate = copy.copy(self.delegate)
+            twin.delegate = _copy(self.delegate)
         return twin
 
 
@@ -607,7 +646,7 @@ def enumerate_win_patterns(m: int) -> list[tuple[int, ...]]:
 def _coalition_round(game: _Game, strategy: Strategy, bid: Rat, concede: bool) -> None:
     """Settle one round against the coalition, agent 1 of `game`, by the rule
     `worst_case_adversary` states."""
-    if not concede and game.budgets[1] < bid:
+    if not concede and not game.fits(1, bid):
         game.flags.append(f"infeasible: coalition cannot outbid {rat_to_str(bid)} at round {game.round_no}")
         concede = True
     if concede and bid > 0:
@@ -649,6 +688,30 @@ def worst_case_adversary(
     return game.transcript()
 
 
+def _sweep(valuation: Valuation, b: Rat, strategy: Strategy, decided=None) -> Iterator[tuple[list, _Game]]:
+    """Each line of `worst_case_sweep` as (its patterns, its game). A line
+    also stops, its patterns incomplete, at a round where `decided(game)`."""
+    lines = [(_duel(valuation, b), strategy, [()])]
+    while lines:
+        game, strat, patterns = lines.pop()
+        while game.remaining:
+            if decided is not None and decided(game):
+                break
+            bid = game.bid(0, strat)
+            conceding = [p + (game.round_no,) for p in patterns if len(p) < 2]
+            if not bid:
+                patterns += conceding
+            elif conceding:
+                twin, twin_strat = game.fork(), strat.clone()
+                _coalition_round(twin, twin_strat, bid, True)
+                lines.append((twin, twin_strat, conceding))
+            _coalition_round(game, strat, bid, False)
+        else:
+            for r in range(game.round_no, valuation.m + 1):
+                patterns += [p + (r,) for p in patterns if len(p) < 2]
+        yield patterns, game
+
+
 def worst_case_sweep(
     valuation: Valuation, b: Rat, strategy: Strategy
 ) -> Iterator[tuple[tuple[int, ...], GameTranscript]]:
@@ -664,21 +727,7 @@ def worst_case_sweep(
     outbidding; a pattern that concedes such a round, or one after the
     line's last round, is yielded with that line's transcript.
     """
-    lines = [(_duel(valuation, b), strategy, [()])]
-    while lines:
-        game, strat, patterns = lines.pop()
-        while game.remaining:
-            bid = game.bid(0, strat)
-            conceding = [p + (game.round_no,) for p in patterns if len(p) < 2]
-            if bid == 0:
-                patterns += conceding
-            elif conceding:
-                twin, twin_strat = game.fork(), strat.clone()
-                _coalition_round(twin, twin_strat, bid, True)
-                lines.append((twin, twin_strat, conceding))
-            _coalition_round(game, strat, bid, False)
-        for r in range(game.round_no, valuation.m + 1):
-            patterns += [p + (r,) for p in patterns if len(p) < 2]
+    for patterns, game in _sweep(valuation, b, strategy):
         transcript = game.transcript()
         for wins in patterns:
             yield wins, transcript
@@ -687,14 +736,21 @@ def worst_case_sweep(
 def test_z_good(valuation: Valuation, b: Rat, z: int) -> bool:
     """True when the three-step strategy at target z secures 3z/5 against
     every concession pattern, including the lines where the coalition goes
-    broke and concedes the remaining rounds by force. Stops at the first
-    line that falls short."""
+    broke and concedes the remaining rounds by force. A line stops once its
+    bundle is worth 3z/5 or, with every remaining item added, still less;
+    the bundle only grows and later forks share it, so both are final. The
+    test stops at the first line that falls short."""
     if z <= 0:
         return True
-    return all(
-        5 * valuation.value(t.allocation.bundles[0]) >= 3 * z
-        for _, t in worst_case_sweep(valuation, b, _Aps35Strategy(valuation, b, z))
-    )
+
+    def short(items) -> bool:
+        return 5 * valuation.value(items) < 3 * z
+
+    def decided(game: _Game) -> bool:
+        return not short(game.bundles[0]) or short(game.bundles[0] + game.remaining)
+
+    lines = _sweep(valuation, b, _Aps35Strategy(valuation, b, z), decided)
+    return not any(short(game.bundles[0]) for _, game in lines)
 
 
 def best_good_z(valuation: Valuation, b: Rat) -> int:

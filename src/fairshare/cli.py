@@ -20,13 +20,13 @@ import sys
 from .bidding import (
     STRATEGIES,
     GameTranscript,
+    _sweep,
     avoided_agent,
     enumerate_win_patterns,
     meta_strategy,
     replay_transcript,
     run_game,
     worst_case_adversary,
-    worst_case_sweep,
 )
 from .core import (
     Allocation,
@@ -214,14 +214,18 @@ def cmd_verify(args) -> int:
     alloc = Allocation(_json_array_doc(_read(args.allocation), "allocation", _json_bundles))
     doc: dict = {"allocation": [list(b) for b in alloc.bundles]}
     failed = False
+    solved = None
     if args.ce is not None:
         prices = _json_array_doc(_read(args.ce), "prices", _json_rats)
-        ok = check_ce(inst, alloc, prices)
+        if args.bounds is not None:
+            # Both checks read every agent's APS: solve each once.
+            solved = [aps_exact(v, b) for v, b in zip(inst.valuations, inst.entitlements)]
+        ok = check_ce(inst, alloc, prices, solved)
         doc["ce"] = ok
         failed = failed or not ok
     if args.bounds is not None or args.ce is None:
         bounds = args.bounds or "arbitrary-entitlements"
-        report = check_allocation(inst, alloc, bounds)
+        report = check_allocation(inst, alloc, bounds, solved)
         doc["bounds"] = report.to_json_dict()
         failed = failed or not report.all_passed
     _emit(doc)
@@ -249,12 +253,13 @@ def cmd_game(args) -> int:
         name, z = specs.get(focal, ("meta", None))
         if args.adversary == "worst":
             # One build plays the whole sweep, so meta's or aps35's simulation
-            # search runs once. `min` reads the lines in pattern order, so a
-            # tie reports the first pattern reaching the minimum.
-            lines = dict(worst_case_sweep(v, b, STRATEGIES[name](v, b, z)))
+            # search runs once, and only the worst line's transcript is built.
+            # `min` reads the lines in pattern order, so a tie reports the
+            # first pattern reaching the minimum.
+            lines = {wins: game for pats, game in _sweep(v, b, STRATEGIES[name](v, b, z)) for wins in pats}
             patterns = enumerate_win_patterns(inst.m)
-            worst = min(patterns, key=lambda wins: v.value(lines[wins].allocation.bundles[0]))
-            t = lines[worst]
+            worst = min(patterns, key=lambda wins: v.value(lines[wins].bundles[0]))
+            t = lines[worst].transcript()
             doc = {
                 "focal": focal,
                 "strategy": name,
@@ -267,7 +272,7 @@ def cmd_game(args) -> int:
             _write_transcript(args.transcript, t)
             _emit(doc)
             return 0
-        wins = _parse_pattern(args.adversary)
+        wins = _parse_pattern(args.adversary, inst.m)
         t = worst_case_adversary(v, b, STRATEGIES[name](v, b, z), wins)
         doc = {
             "focal": focal,
@@ -295,7 +300,8 @@ def cmd_game(args) -> int:
     return 0
 
 
-def _parse_pattern(text: str) -> tuple[int, ...]:
+def _parse_pattern(text: str, m: int) -> tuple[int, ...]:
+    """The conceded rounds of 'pattern:K[,L]': strictly increasing, in 1..m."""
     if not text.startswith("pattern:"):
         raise InputError(f"adversary: expected 'worst' or 'pattern:K[,L]', got {text!r}")
     body = text.split(":", 1)[1]
@@ -305,6 +311,8 @@ def _parse_pattern(text: str) -> tuple[int, ...]:
         wins = tuple(_int_from_str(x) for x in body.split(","))
     except ValueError:
         raise InputError(f"adversary: bad pattern {body!r}") from None
+    if list(wins) != sorted(set(wins)) or not all(1 <= k <= m for k in wins):
+        raise InputError(f"adversary: pattern rounds must be strictly increasing within 1..{m}, got {body!r}")
     return wins
 
 

@@ -127,13 +127,16 @@ def check_allocation(
     return GuaranteeReport(bounds, tuple(agents))
 
 
-def check_ce(inst: Instance, alloc: Allocation, prices: tuple[Rat, ...]) -> bool:
+def check_ce(
+    inst: Instance, alloc: Allocation, prices: tuple[Rat, ...], solved: Sequence[ApsResult] | None = None
+) -> bool:
     """Competitive equilibrium test: budget feasibility and demand optimality.
 
     Every item must be allocated once, every agent's bundle must cost at most
     her entitlement, and no affordable bundle may beat her own. When the test
     passes, every agent is guaranteed her full AnyPrice share, and this is
-    re-checked here (raising AssertionError, also under python -O).
+    re-checked here (raising AssertionError, also under python -O). `solved`
+    is as for `check_allocation`.
     """
     _check_fits(inst, alloc)
     if len(prices) != inst.m:
@@ -150,7 +153,8 @@ def check_ce(inst: Instance, alloc: Allocation, prices: tuple[Rat, ...]) -> bool
             return False
     for i in range(inst.n):
         got = inst.agent_value(i, alloc.bundles[i])
-        if got < aps_exact(inst.valuations[i], inst.entitlements[i]).value:
+        aps = aps_exact(inst.valuations[i], inst.entitlements[i]) if solved is None else solved[i]
+        if got < aps.value:
             raise AssertionError(f"equilibrium bundle of agent {i} below the AnyPrice share")
     return True
 

@@ -449,6 +449,72 @@ def test_strategy_clone_is_independent():
     assert vars(twin.delegate) == before
 
 
+def test_slotted_strategy_clones_independently():
+    # A strategy keeping its state in slots is cloned through copy.copy.
+    class Slotted(Strategy):
+        __slots__ = ("rounds",)
+
+        def __init__(self):
+            self.rounds = 0
+
+        def bid(self, view):
+            self.rounds += 1
+            return min(Rat(1, 4 + self.rounds), view.budget)
+
+        def select(self, view):
+            return (view.remaining[0],)
+
+    v = base_valuation()
+    view = AgentView(1, tuple(range(v.m)), Rat(2, 5), Rat(1), ())
+    strat = Slotted()
+    strat.bid(view)
+    twin = strat.clone()
+    strat.bid(view)
+    assert (strat.rounds, twin.rounds) == (2, 1)
+    # The sweep clones it mid-game; every pattern still gets the transcript
+    # of a fresh build playing it alone.
+    for wins, t in worst_case_sweep(v, Rat(2, 5), Slotted()):
+        assert t.to_json_dict() == worst_case_adversary(v, Rat(2, 5), Slotted(), wins).to_json_dict(), wins
+
+
+def test_engine_money_is_exact_across_new_denominators():
+    # Payments with coprime denominators grow the engine's common
+    # denominator; every check and every view must still read the exact
+    # budget that plain Rat arithmetic gives.
+    class Scripted(Strategy):
+        def __init__(self):
+            self.views = []
+
+        def bid(self, view):
+            self.views.append(view)
+            over = view.budget + Rat(1, 7 * view.budget.denominator)
+            return {1: Rat(1, 3), 2: Rat(1, 25), 3: over, 4: view.budget}.get(view.round_no, Rat(0))
+
+        def select(self, view):
+            self.views.append(view)
+            return tuple(view.remaining[: 2 if view.round_no in (2, 4) else 1])
+
+    inst = make_instance([[1] * 6, [1] * 6], [Rat(1, 2), Rat(1, 2)])
+    strat = Scripted()
+    t = run_game(inst, [strat, STRATEGIES["zero"](inst.valuations[1], Rat(1, 2), None)])
+    # Round 3 bids 1/1050 over a budget of 13/150; round 4 bids the whole
+    # budget but asks for two items.
+    assert t.flags == ("round 3: agent 0 bid fault", "round 4: agent 0 selection fault")
+    assert [r.payment for r in t.rounds] == [Rat(1, 3), Rat(2, 25), 0, Rat(13, 150), 0]
+    assert [r.taken for r in t.rounds] == [(0,), (1, 2), (3,), (4,), (5,)]
+    for view in strat.views:
+        before = t.rounds[: view.round_no - 1]
+        assert type(view.budget) is Rat and type(view.total_budget) is Rat
+        assert view.budget == Rat(1, 2) - sum(r.payment for r in before if r.winner == 0)
+        assert view.total_budget == 1 - sum(r.payment for r in before)
+    assert replay_transcript(inst, t) == t.allocation
+    # Replay reads the same exact budgets: the round-3 bid is refused there.
+    doc = t.to_json_dict()
+    doc["rounds"][2]["bids"][0] = "131/1050"
+    with pytest.raises(InputError, match=r"rounds\[2\]\.bids\[0\]: 131/1050 outside \[0, budget\]"):
+        replay_transcript(inst, GameTranscript.from_json_dict(doc))
+
+
 def test_adversary_validates_inputs():
     v = base_valuation()
     with pytest.raises(InputError):
@@ -577,6 +643,30 @@ def test_z_goodness_prefix():
     assert z_goodness(v, Rat(2, 5), 0)
     assert z_goodness(v, Rat(2, 5), 2)
     assert not z_goodness(v, Rat(2, 5), v.total + 1)
+
+
+def test_z_test_cuts_agree_with_full_sweeps():
+    # `test_z_good` stops each line once its outcome is decided; it must
+    # agree with the transcripts of the full sweep on every target, at both
+    # value scales. Every target is tried while v(M) <= 40, and targets
+    # around the best z otherwise.
+    rng = random.Random(67)
+    seen = {"good": 0, "bad": 0}
+    for k in range(150):
+        v = rand_valuation(rng, m_max=7, vmax=(6, 1000)[k % 2])
+        den = rng.randint(2, 7)
+        b = Rat(rng.randint(1, den - 1), den)
+        if v.total <= 40:
+            targets = set(range(v.total + 2))
+        else:
+            best = best_good_z(v, b)
+            targets = {1, best - 1, best, best + 1, rng.randint(0, v.total), v.total, v.total + 1}
+        for z in sorted(targets):
+            lines = worst_case_sweep(v, b, STRATEGIES["aps35"](v, b, z))
+            full = all(5 * v.value(t.allocation.bundles[0]) >= 3 * z for _, t in lines)
+            assert z_goodness(v, b, z) == full, (v, b, z)
+            seen["good" if full else "bad"] += 1
+    assert seen == {"good": 845, "bad": 669}
 
 
 def test_best_z_values():

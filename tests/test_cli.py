@@ -281,6 +281,29 @@ def test_verify_ce_fixture(tmp_path, capsys):
     assert doc["bounds"]["all_passed"] is True
 
 
+def test_verify_ce_and_bounds_solve_each_aps_once(tmp_path, capsys, monkeypatch):
+    # The equilibrium check and the bound check share one aps_exact result
+    # per agent.
+    doc = {"agents": [{"entitlement": "1/2", "values": [1, 0]}, {"entitlement": "1/2", "values": [0, 1]}]}
+    inst_path = write(tmp_path, "inst.json", doc)
+    alloc_path = write(tmp_path, "alloc.json", [[0], [1]])
+    prices_path = write(tmp_path, "prices.json", ["1/2", "1/2"])
+    calls = []
+    real = fairshare.shares.aps_exact
+
+    def counted(valuation, b):
+        calls.append(b)
+        return real(valuation, b)
+
+    for module in (fairshare.cli, fairshare.shares, fairshare.verify):
+        monkeypatch.setattr(module, "aps_exact", counted)
+    argv = ["verify", inst_path, alloc_path, "--ce", prices_path, "--bounds", "arbitrary-entitlements"]
+    code, doc, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert doc["ce"] is True and doc["bounds"]["all_passed"] is True
+    assert calls == [Fraction(1, 2)] * 2
+
+
 def test_verify_corrupted_allocation(tmp_path, capsys):
     inst_path = write(tmp_path, "inst.json", BASE_EXAMPLE)
     alloc_path = write(tmp_path, "alloc.json", [[0, 0], [1, 2, 3, 4]])
@@ -392,6 +415,11 @@ def test_game_single_pattern(tmp_path, capsys):
     assert doc["pattern"] == [1, 3]
     assert isinstance(doc["value"], int)
     assert doc["transcript"]["rounds"]
+    # A pattern names conceded rounds of this 5-item game, each once, in order.
+    for pattern in ("pattern:1,1", "pattern:3,1", "pattern:99"):
+        code, doc, err = run_cli(capsys, ["game", inst_path, "--focal", "0", "--adversary", pattern])
+        assert (code, doc) == (2, None), pattern
+        assert err.startswith("error: adversary: "), pattern
 
 
 def test_game_run_and_replay(tmp_path, capsys):
@@ -495,8 +523,9 @@ def test_game_worst_sweep_work_counts(tmp_path, capsys, monkeypatch):
     # The sweep plays each round shared by several concession patterns once,
     # forking the game and a strategy clone only where the coalition may
     # still concede a positively bid round. Playing every pattern from round
-    # 1 instead settles 69 rounds with 16 clones on the first instance, and
-    # 624 with 22 on the second (meta's z search included).
+    # 1 instead settles 69 rounds with 16 clones on the first instance. On
+    # the second, meta's z search also stops each line once its outcome is
+    # decided; playing those lines in full settles 112 rounds with 25 clones.
     counts = {"settle": 0, "clone": 0}
 
     def counting(name, real):
@@ -516,7 +545,7 @@ def test_game_worst_sweep_work_counts(tmp_path, capsys, monkeypatch):
     }
     cases = [
         (write(tmp_path, "base.json", BASE_EXAMPLE), "0=aps35:2", {"settle": 14, "clone": 3}),
-        (write(tmp_path, "six.json", six), "0=meta", {"settle": 112, "clone": 25}),
+        (write(tmp_path, "six.json", six), "0=meta", {"settle": 48, "clone": 18}),
     ]
     for path, spec, expected in cases:
         counts.update(settle=0, clone=0)
