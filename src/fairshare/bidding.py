@@ -8,12 +8,13 @@ a safe fallback and flagging the transcript on any illegal move.
 
 One engine applies every round: `run_game` plays strategies through it,
 `replay_transcript` re-applies the recorded rounds once each has passed its
-checks, and `worst_case_adversary` plays a focal agent against the pooled
-coalition as the second agent of the same game. It keeps money as integers
-over a common denominator; strategies see `Rat` budgets. `worst_case_sweep`
-plays every concession pattern against that coalition as one prefix tree: a
-line forks a copy of the game and of the strategy wherever the coalition
-may still concede, so rounds shared by several patterns are played once;
+checks, and the adversary plays a focal agent against the pooled coalition
+as the second agent of the same game. It keeps money as integers over a
+common denominator; strategies see `Rat` budgets. One driver, `_sweep`,
+plays the adversary over a list of concession patterns as one prefix tree,
+forking a line where its patterns disagree on a round. Through it
+`worst_case_adversary` plays one pattern, and `worst_case_sweep`,
+`test_z_good` and the CLI every pattern of `enumerate_win_patterns`;
 `test_z_good` ends each line once its outcome is decided.
 
 The strategies here carry worst-case guarantees against arbitrary opponent
@@ -80,7 +81,7 @@ class Strategy:
     a held list, dict or object in place, and clones share what it built
     once; one that holds another strategy overrides `clone` to copy it too.
     A clone taken at any point, mid-game included, must continue exactly as
-    the original would from there: `worst_case_sweep` clones a strategy
+    the original would from there: the adversary sweep clones a strategy
     after its bid in a round and plays the clone on the branch where the
     coalition concedes that round.
 
@@ -363,7 +364,10 @@ def replay_transcript(inst: Instance, transcript: GameTranscript) -> Allocation:
 
 
 class _ZeroStrategy(Strategy):
-    """Always bids 0; on a forced win takes the single highest-value item."""
+    """Always bids 0; on a forced win takes the single highest-value item.
+
+    The other strategies build on its `ranking` and take its `select` as
+    their fallback; the capped bidders rank by capped values instead."""
 
     def __init__(self, valuation: Valuation) -> None:
         self.ranking = tuple(valuation.ranked_items())
@@ -375,7 +379,7 @@ class _ZeroStrategy(Strategy):
         return _first(self.ranking, view.remaining)
 
 
-class _BidMaxValue(Strategy):
+class _BidMaxValue(_ZeroStrategy):
     """Bid the top remaining (capped) value over the fixed total, capped by
     budget; on a win take that top item.
 
@@ -405,15 +409,16 @@ class _BidMaxValue(Strategy):
         self.total = sum(self.capped.values())
         self.scale = Rat(scale)
 
-    def bid(self, view: AgentView) -> Rat:
-        # A zero top value also covers a zero total.
-        x = self.capped[_first(self.ranking, view.remaining)[0]]
+    def _slice(self, x, view: AgentView) -> Rat:
+        """Value x over the capped total, rescaled, capped by budget; 0 when
+        x <= 0. x is an int or a Rat in the units of `capped`."""
         if x <= 0:
             return _ZERO
         return min(Rat(x * self.scale.numerator, self.total * self.scale.denominator), view.budget)
 
-    def select(self, view: AgentView) -> tuple[int, ...]:
-        return _first(self.ranking, view.remaining)
+    def bid(self, view: AgentView) -> Rat:
+        # A zero top value also covers a zero total.
+        return self._slice(self.capped[_first(self.ranking, view.remaining)[0]], view)
 
 
 class _RankItemStrategy(_ZeroStrategy):
@@ -429,15 +434,15 @@ class _RankItemStrategy(_ZeroStrategy):
         return min(self.b, view.budget)
 
 
-class _RescueBidder(Strategy):
+class _RescueBidder(_ZeroStrategy):
     """Shared by the TPS and three-step bidders. Rule 1 bids for the top item
     alone, rule 2 for the top two, the rescue pair; a win under either rule
     retires the bidder. `bid` records its rule in `last_rule` (0 for none).
     """
 
     def __init__(self, valuation: Valuation) -> None:
+        super().__init__(valuation)
         self.vals = valuation.item_values
-        self.ranking = tuple(valuation.ranked_items())
         self.done = False
         self.prev_bundle = 0
         self.last_rule = 0
@@ -457,10 +462,9 @@ class _RescueBidder(Strategy):
         return top[0], top[1]
 
     def select(self, view: AgentView) -> tuple[int, ...]:
-        picked = _first(self.ranking, view.remaining, 2 if self.last_rule == 2 else 1)
-        if len(picked) == 2 and view.winning_bid is not None and view.winning_bid * 2 > view.budget:
-            picked = picked[:1]
-        return picked
+        if self.last_rule == 2 and (view.winning_bid is None or view.winning_bid * 2 <= view.budget):
+            return _first(self.ranking, view.remaining, 2)
+        return super().select(view)
 
 
 class _TpsStrategy(_RescueBidder):
@@ -486,42 +490,35 @@ class _TpsStrategy(_RescueBidder):
         return Rat(x) * total / s
 
 
-class _Lemma34Strategy(Strategy):
+class _Lemma34Strategy(_BidMaxValue):
     """Two-stage capped-value bidder targeting one and a half times z.
 
-    Stage 1 bids the top capped value over the fixed capped total, or the
-    whole budget when one more top item would reach the target. Stage 2
-    starts the first time a full-budget round is followed by a proportional
-    one: values are re-truncated against the entry budget and bid over the
-    original capped total. Retires as soon as the accumulated capped value
-    reaches the target. `scale` and `universe` are as for `_BidMaxValue`.
+    Stage 1 is `_BidMaxValue` with cap z, except that it bids the whole
+    budget when one more top item would reach the target. Stage 2 starts the
+    first time a full-budget round is followed by a proportional one: values
+    are re-truncated against the entry budget and bid over the original
+    capped total. Retires as soon as the accumulated capped value reaches the
+    target.
 
     Guarantees a bundle of value at least 3z/2 whenever no price vector
     summing to 1 prices every bundle of value z above b/2.
 
-    The `capped` values and their total `s` are integers in units of
-    1/denominator(z), so z itself is numerator(z) units; the stage-2 table
-    is rational, in the same units. A bid is a value over `s`, so the unit
-    cancels.
+    The `capped` values are integers in units of 1/denominator(z), so z
+    itself is numerator(z) units; the stage-2 table is rational, in the same
+    units.
     """
 
     def __init__(self, valuation, b, z, scale=Rat(1), universe=None) -> None:
         if z is None:
             raise InputError("strategies: lemma34 needs an explicit target, e.g. 0=lemma34:5")
-        items = range(valuation.m) if universe is None else universe
-        vals = valuation.item_values
-        z = Rat(z)
-        self.capped = {j: min(vals[j] * z.denominator, z.numerator) for j in items}
-        self.s = sum(self.capped.values())
+        super().__init__(valuation, z, scale, universe)
         # Twice the 3z/2 target, so that the target tests stay in integers.
-        self.twice_target = 3 * z.numerator
+        self.twice_target = 3 * Rat(z).numerator
         self.b0 = Rat(b)
-        self.scale = Rat(scale)
         self.stage = 1
         self.prev_full_bid = False
         # The values the current stage bids: capped, then re-truncated.
         self.table = self.capped
-        self.ranking = _ranking(self.capped, items)
         self.done = False
         self.last_sel: tuple[int, ...] = ()
 
@@ -530,7 +527,7 @@ class _Lemma34Strategy(Strategy):
             return _ZERO
         u = sum(self.capped.get(j, 0) for j in view.bundle)
         # z <= 0 exactly when twice_target <= 0.
-        if self.twice_target <= 0 or self.s == 0 or 2 * u >= self.twice_target:
+        if self.twice_target <= 0 or self.total == 0 or 2 * u >= self.twice_target:
             self.done = True
             return _ZERO
         top = _first(self.ranking, view.remaining)[0]
@@ -547,21 +544,17 @@ class _Lemma34Strategy(Strategy):
                     return _ZERO
                 ratio = (self.b0 - 2 * entry) / entry
                 self.table = {
-                    j: max(_ZERO, min(entry * self.s, ratio * self.capped[j])) for j in view.remaining
+                    j: max(_ZERO, min(entry * self.total, ratio * self.capped[j])) for j in view.remaining
                 }
                 self.ranking = _ranking(self.table, view.remaining)
                 top = self.ranking[0]
         self.last_sel = (top,)
-        x = self.table[top]
-        if x <= 0:
-            return _ZERO
-        # x is an int in stage 1 and a Rat in stage 2; either way one Rat.
-        return min(Rat(x * self.scale.numerator, self.s * self.scale.denominator), view.budget)
+        return self._slice(self.table[top], view)
 
     def select(self, view: AgentView) -> tuple[int, ...]:
         if self.last_sel and set(self.last_sel) <= set(view.remaining):
             return self.last_sel
-        return _first(self.ranking, view.remaining)
+        return super().select(view)
 
 
 class _Aps35Strategy(_RescueBidder):
@@ -676,40 +669,42 @@ def worst_case_adversary(
     also go to the coalition. When the coalition cannot afford an outbid it
     is forced to concede that round too: the transcript is flagged infeasible
     but still played to completion, so its final value is the real outcome of
-    the exhausted-coalition line.
+    the exhausted-coalition line. This is the one line `_sweep` plays for
+    the single pattern `wins`.
     """
     if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in wins):
         raise InputError(f"wins: expected 1-based round indices, got {wins!r}")
-    winset = set(wins)
-    game = _duel(valuation, b)
-    while game.remaining:
-        bid = game.bid(0, strategy)
-        _coalition_round(game, strategy, bid, game.round_no in winset)
-    return game.transcript()
+    return next(_sweep(valuation, b, strategy, [tuple(wins)]))[1].transcript()
 
 
-def _sweep(valuation: Valuation, b: Rat, strategy: Strategy, decided=None) -> Iterator[tuple[list, _Game]]:
-    """Each line of `worst_case_sweep` as (its patterns, its game). A line
-    also stops, its patterns incomplete, at a round where `decided(game)`."""
-    lines = [(_duel(valuation, b), strategy, [()])]
+def _sweep(
+    valuation: Valuation, b: Rat, strategy: Strategy, patterns: Sequence[tuple[int, ...]], decided=None
+) -> Iterator[tuple[list, _Game]]:
+    """Play `patterns`, each a collection of conceded rounds, as one prefix
+    tree; yield each line as (its patterns, its game).
+
+    A line is the play under one set of concessions; `strategy` plays the
+    first line, so pass an unplayed one. The agent bids once per round of a
+    line. Where some of the line's patterns concede a positively bid round
+    and others do not, a copy of the game and a clone of the strategy play on
+    as the branch of those that concede. A round bid at 0 never splits a
+    line, since conceding it settles the same round as outbidding. A line
+    also stops at a round where `decided(game)`.
+    """
+    lines = [(_duel(valuation, b), strategy, list(patterns))]
     while lines:
-        game, strat, patterns = lines.pop()
-        while game.remaining:
-            if decided is not None and decided(game):
-                break
+        game, strat, pats = lines.pop()
+        while game.remaining and not (decided is not None and decided(game)):
             bid = game.bid(0, strat)
-            conceding = [p + (game.round_no,) for p in patterns if len(p) < 2]
-            if not bid:
-                patterns += conceding
-            elif conceding:
+            r = game.round_no
+            rest = [p for p in pats if r not in p] if bid else pats
+            if rest and len(rest) < len(pats):
                 twin, twin_strat = game.fork(), strat.clone()
                 _coalition_round(twin, twin_strat, bid, True)
-                lines.append((twin, twin_strat, conceding))
-            _coalition_round(game, strat, bid, False)
-        else:
-            for r in range(game.round_no, valuation.m + 1):
-                patterns += [p + (r,) for p in patterns if len(p) < 2]
-        yield patterns, game
+                lines.append((twin, twin_strat, [p for p in pats if r in p]))
+                pats = rest
+            _coalition_round(game, strat, bid, not rest)
+        yield pats, game
 
 
 def worst_case_sweep(
@@ -718,16 +713,12 @@ def worst_case_sweep(
     """Yield `(wins, worst_case_adversary(valuation, b, strategy, wins))` once
     for every pattern of `enumerate_win_patterns(valuation.m)`, lazily.
 
-    The patterns are played as one prefix tree. A line is the play under one
-    set of concessions; `strategy` plays the no-concession line, so pass an
-    unplayed one. In each round of a line with fewer than two concessions
-    the agent bids once, and a copy of the game and a clone of the strategy
-    play on as the branch where the coalition concedes that round. A round
-    bid at 0 is not forked, since conceding it settles the same round as
-    outbidding; a pattern that concedes such a round, or one after the
-    line's last round, is yielded with that line's transcript.
+    `_sweep` plays them as one prefix tree, so `strategy` plays the
+    no-concession line: pass an unplayed one. A pattern that concedes a
+    round bid at 0 shares the transcript of the line that outbids it, and so
+    does one that concedes a round after that line's last round.
     """
-    for patterns, game in _sweep(valuation, b, strategy):
+    for patterns, game in _sweep(valuation, b, strategy, enumerate_win_patterns(valuation.m)):
         transcript = game.transcript()
         for wins in patterns:
             yield wins, transcript
@@ -749,7 +740,7 @@ def test_z_good(valuation: Valuation, b: Rat, z: int) -> bool:
     def decided(game: _Game) -> bool:
         return not short(game.bundles[0]) or short(game.bundles[0] + game.remaining)
 
-    lines = _sweep(valuation, b, _Aps35Strategy(valuation, b, z), decided)
+    lines = _sweep(valuation, b, _Aps35Strategy(valuation, b, z), enumerate_win_patterns(valuation.m), decided)
     return not any(short(game.bundles[0]) for _, game in lines)
 
 

@@ -52,7 +52,7 @@ from .shares import (
     unit_demand_aps,
     wmms_exact,
 )
-from .verify import BOUND_SETS, check_allocation, check_ce
+from .verify import BOUND_SETS, _check_ce_inputs, check_allocation, check_ce
 
 
 def _emit(doc: dict) -> None:
@@ -218,7 +218,9 @@ def cmd_verify(args) -> int:
     if args.ce is not None:
         prices = _json_array_doc(_read(args.ce), "prices", _json_rats)
         if args.bounds is not None:
-            # Both checks read every agent's APS: solve each once.
+            # Both checks read every agent's APS: solve each once, after the
+            # input checks, so that malformed input is reported as such.
+            _check_ce_inputs(inst, alloc, prices)
             solved = [aps_exact(v, b) for v, b in zip(inst.valuations, inst.entitlements)]
         ok = check_ce(inst, alloc, prices, solved)
         doc["ce"] = ok
@@ -256,8 +258,8 @@ def cmd_game(args) -> int:
             # search runs once, and only the worst line's transcript is built.
             # `min` reads the lines in pattern order, so a tie reports the
             # first pattern reaching the minimum.
-            lines = {wins: game for pats, game in _sweep(v, b, STRATEGIES[name](v, b, z)) for wins in pats}
             patterns = enumerate_win_patterns(inst.m)
+            lines = {wins: game for pats, game in _sweep(v, b, STRATEGIES[name](v, b, z), patterns) for wins in pats}
             worst = min(patterns, key=lambda wins: v.value(lines[wins].bundles[0]))
             t = lines[worst].transcript()
             doc = {
@@ -301,18 +303,16 @@ def cmd_game(args) -> int:
 
 
 def _parse_pattern(text: str, m: int) -> tuple[int, ...]:
-    """The conceded rounds of 'pattern:K[,L]': strictly increasing, in 1..m."""
+    """The conceded rounds of 'pattern:K[,L]', one of `enumerate_win_patterns(m)`."""
     if not text.startswith("pattern:"):
         raise InputError(f"adversary: expected 'worst' or 'pattern:K[,L]', got {text!r}")
     body = text.split(":", 1)[1]
-    if not body:
-        return ()
     try:
-        wins = tuple(_int_from_str(x) for x in body.split(","))
+        wins = tuple(_int_from_str(x) for x in body.split(",")) if body else ()
     except ValueError:
         raise InputError(f"adversary: bad pattern {body!r}") from None
-    if list(wins) != sorted(set(wins)) or not all(1 <= k <= m for k in wins):
-        raise InputError(f"adversary: pattern rounds must be strictly increasing within 1..{m}, got {body!r}")
+    if wins not in enumerate_win_patterns(m):
+        raise InputError(f"adversary: expected at most two strictly increasing rounds within 1..{m}, got {body!r}")
     return wins
 
 

@@ -86,22 +86,21 @@ def tps(valuation: Valuation, b: Rat) -> Rat:
         b = b / (1 - b)
 
 
+def _kth_largest(item_values: Sequence[int], k: int) -> int:
+    """The k-th largest item value, 0 if absent."""
+    ordered = sorted(item_values, reverse=True)
+    return ordered[k - 1] if k <= len(ordered) else 0
+
+
 def unit_demand_aps(item_values: Sequence[int], b: Rat) -> int:
     """APS under unit demand: the ceil(1/b)-th largest item value, 0 if absent."""
-    b = check_entitlement(b)
-    rank = math.ceil(1 / b)
-    ordered = sorted(item_values, reverse=True)
-    if rank <= len(ordered):
-        return ordered[rank - 1]
-    return 0
+    return _kth_largest(item_values, math.ceil(1 / check_entitlement(b)))
 
 
 def _rank_item_value(item_values: Sequence[int], b: Rat) -> int:
     """The floor(1/b)-th largest item value, 0 if absent: what the rank bidder
     secures, and the entitlement-rank term of the bidding-game guarantee."""
-    rank = math.floor(1 / Rat(b))
-    ordered = sorted(item_values, reverse=True)
-    return ordered[rank - 1] if rank <= len(ordered) else 0
+    return _kth_largest(item_values, math.floor(1 / Rat(b)))
 
 
 # ---------------------------------------------------------------------------

@@ -138,11 +138,7 @@ def check_ce(
     re-checked here (raising AssertionError, also under python -O). `solved`
     is as for `check_allocation`.
     """
-    _check_fits(inst, alloc)
-    if len(prices) != inst.m:
-        raise InputError(f"prices: expected {inst.m}, got {len(prices)}")
-    if any(p < 0 for p in prices):
-        raise InputError("prices: must be non-negative")
+    _check_ce_inputs(inst, alloc, prices)
     for i in range(inst.n):
         v = inst.valuations[i]
         b = inst.entitlements[i]
@@ -157,6 +153,16 @@ def check_ce(
         if got < aps.value:
             raise AssertionError(f"equilibrium bundle of agent {i} below the AnyPrice share")
     return True
+
+
+def _check_ce_inputs(inst: Instance, alloc: Allocation, prices: tuple[Rat, ...]) -> None:
+    """InputError unless `alloc` fits the instance and `prices` holds m
+    non-negative prices: `check_ce`'s checks of its input."""
+    _check_fits(inst, alloc)
+    if len(prices) != inst.m:
+        raise InputError(f"prices: expected {inst.m}, got {len(prices)}")
+    if any(p < 0 for p in prices):
+        raise InputError("prices: must be non-negative")
 
 
 def check_share_chain(valuation, b: Rat) -> dict:

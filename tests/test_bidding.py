@@ -27,6 +27,7 @@ from fairshare import (
 )
 from fairshare import test_z_good as z_goodness
 from fairshare.bidding import STRATEGIES, Strategy, _Aps35Strategy, _RankItemStrategy, _TpsStrategy
+from fairshare.core import rat_to_str
 from fairshare.shares import aps_exact
 
 from helpers import (
@@ -521,6 +522,48 @@ def test_adversary_validates_inputs():
         worst_case_adversary(v, Rat(2, 5), STRATEGIES["tps"](v, Rat(2, 5), None), (0,))
     with pytest.raises(InputError):
         worst_case_adversary(v, Rat(2, 5), STRATEGIES["tps"](v, Rat(2, 5), None), (True,))
+
+
+def test_adversary_concedes_exactly_the_listed_rounds():
+    # Library callers get set semantics: a round is conceded iff `wins` lists
+    # it, whatever the order, repeats, rounds past m or count of rounds. Each
+    # transcript must be the one of its sorted, distinct, in-range rounds and
+    # follow the coalition's rule round by round; the digest pins them all.
+    rng = random.Random(71)
+    digest = hashlib.sha256()
+    played = conceded = forced = 0
+    for _ in range(25):
+        v = rand_valuation(rng, m_max=6, vmax=8)
+        m = v.m
+        den = rng.randint(2, 6)
+        b = Rat(rng.randint(1, den - 1), den)
+        z = rng.randint(1, max(1, v.total))
+        specs = [("zero", None), ("tps", None), ("rank", None), ("maxval", None)]
+        specs += [("lemma34", z), ("aps35", z), ("aps35-alt", z)]
+        patterns = [(3, 1), (1, 1), (m + 1,), (2, m + 3), (1, 2, 3), (4, 2, 1, 5), (2, 2, m, 1)]
+        patterns += [tuple(rng.randint(1, m + 2) for _ in range(rng.randint(0, 4))) for _ in range(3)]
+        for name, target in specs:
+            for wins in patterns:
+                t = worst_case_adversary(v, b, STRATEGIES[name](v, b, target), wins)
+                canonical = tuple(sorted(k for k in set(wins) if k <= m))
+                ref = worst_case_adversary(v, b, STRATEGIES[name](v, b, target), canonical)
+                assert t.to_json_dict() == ref.to_json_dict(), (v, b, name, wins)
+                remaining = list(range(m))
+                for r, rec in enumerate(t.rounds, 1):
+                    bid = rec.bids[0]
+                    flag = f"infeasible: coalition cannot outbid {rat_to_str(bid)} at round {r}"
+                    if bid > 0 and (r in wins or flag in t.flags):
+                        assert (rec.winner, rec.bids[1]) == (0, 0), (v, b, name, wins, r)
+                        conceded += 1
+                        forced += r not in wins
+                    else:
+                        top = max(remaining, key=lambda j: (v.item_values[j], -j))
+                        assert (rec.winner, rec.bids[1], rec.taken) == (1, bid, (top,)), (v, b, name, wins, r)
+                    remaining = [j for j in remaining if j not in rec.taken]
+                digest.update(json.dumps([list(wins), t.to_json_dict()], sort_keys=True).encode())
+                played += 1
+    assert (played, conceded, forced) == (1750, 1716, 488)
+    assert digest.hexdigest() == "6d0762dfc9eb504cb175180756e936225b81bfc72284c7ca0e1f96ac7e16feb6"
 
 
 def test_adversary_with_no_budget_cannot_outbid():

@@ -304,6 +304,29 @@ def test_verify_ce_and_bounds_solve_each_aps_once(tmp_path, capsys, monkeypatch)
     assert calls == [Fraction(1, 2)] * 2
 
 
+def test_verify_ce_checks_its_input_before_solving(tmp_path, capsys, monkeypatch):
+    # Under a guard that every APS solve trips, malformed input must still be
+    # reported as such (exit 2), with or without --bounds.
+    monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", "3")
+    doc = {
+        "agents": [
+            {"entitlement": "1/2", "values": [1, 2, 3, 4, 5, 6]},
+            {"entitlement": "1/2", "values": [6, 5, 4, 3, 2, 1]},
+        ]
+    }
+    inst_path = write(tmp_path, "inst.json", doc)
+    rows = [
+        ([[0, 1, 2], [3, 4]], ["1/6"] * 6, "error: allocation: items [5] unallocated"),
+        ([[0, 1, 2], [3, 4, 5]], ["1/2", "1/2"], "error: prices: expected 6, got 2"),
+    ]
+    for alloc, prices, message in rows:
+        alloc_path, prices_path = write(tmp_path, "alloc.json", alloc), write(tmp_path, "prices.json", prices)
+        argv = ["verify", inst_path, alloc_path, "--ce", prices_path]
+        for extra in ([], ["--bounds", "arbitrary-entitlements"]):
+            code, out, err = run_cli(capsys, argv + extra)
+            assert (code, out, err.strip()) == (2, None, message), extra
+
+
 def test_verify_corrupted_allocation(tmp_path, capsys):
     inst_path = write(tmp_path, "inst.json", BASE_EXAMPLE)
     alloc_path = write(tmp_path, "alloc.json", [[0, 0], [1, 2, 3, 4]])
@@ -415,8 +438,12 @@ def test_game_single_pattern(tmp_path, capsys):
     assert doc["pattern"] == [1, 3]
     assert isinstance(doc["value"], int)
     assert doc["transcript"]["rounds"]
-    # A pattern names conceded rounds of this 5-item game, each once, in order.
-    for pattern in ("pattern:1,1", "pattern:3,1", "pattern:99"):
+    code, doc, _ = run_cli(capsys, ["game", inst_path, "--focal", "0", "--adversary", "pattern:"])
+    assert code == 0
+    assert doc["pattern"] == []
+    # A pattern names at most two conceded rounds of this 5-item game, each
+    # once, in order.
+    for pattern in ("pattern:1,1", "pattern:3,1", "pattern:99", "pattern:1,2,3"):
         code, doc, err = run_cli(capsys, ["game", inst_path, "--focal", "0", "--adversary", pattern])
         assert (code, doc) == (2, None), pattern
         assert err.startswith("error: adversary: "), pattern
