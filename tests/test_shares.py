@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -207,6 +208,20 @@ def test_aps_matches_brute_force_at_both_bracket_ends():
         at_low_only += low == res.value < high
         at_high_only += low < res.value == high
     assert at_low_only and at_high_only
+
+
+def test_aps_values_digest_is_pinned():
+    """APS values on 200 seeded draws (m <= 8, values 0-6 and 0-1000, b with
+    denominators 1-7), pinned as one SHA-256 digest: a rewrite of the search
+    must return the same share on every draw."""
+    rng = random.Random(19)
+    shares_seen = []
+    for k in range(200):
+        v = rand_valuation(rng, m_max=8, vmax=6 if k % 2 else 1000)
+        b = rand_entitlement(rng, max_den=7)
+        shares_seen.append(f"{v.item_values}@{b}:{aps_exact(v, b).value}")
+    digest = hashlib.sha256("\n".join(shares_seen).encode()).hexdigest()
+    assert digest == "4ff3d611e0257119462f8fcc43d134377e2261c71c8f12c6f01e459bf63e7b67"
 
 
 def _aps_work(v, b):
