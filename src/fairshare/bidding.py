@@ -672,9 +672,10 @@ def worst_case_adversary(
     the exhausted-coalition line. This is the one line `_sweep` plays for
     the single pattern `wins`.
     """
+    wins = tuple(wins)
     if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in wins):
         raise InputError(f"wins: expected 1-based round indices, got {wins!r}")
-    return next(_sweep(valuation, b, strategy, [tuple(wins)]))[1].transcript()
+    return next(_sweep(valuation, b, strategy, [wins]))[1].transcript()
 
 
 def _sweep(

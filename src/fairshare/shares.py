@@ -70,20 +70,23 @@ def tps(valuation: Valuation, b: Rat) -> Rat:
 
     Peels the highest-value item while it exceeds the proportional share of
     what is left, inflating the entitlement to b/(1-b) at each peel; once the
-    entitlement reaches 1/2 the remainder is priced in one step.
+    entitlement reaches 1/2 the remainder is priced in one step. The
+    entitlement stays the integer pair p/q, so b/(1-b) is p/(q-p), and only
+    the returned share is a Rat.
     """
     b = check_entitlement(b)
+    p, q = b.numerator, b.denominator
     vals = sorted(valuation.item_values, reverse=True)
-    while True:
-        total = sum(vals)
-        ps = b * total
-        if not vals or vals[0] <= ps:
-            return ps
-        if b >= Rat(1, 2):
-            # b = 1 cannot reach here: ps = total >= vals[0] returns above.
-            return (b / (1 - b)) * (total - vals[0])
-        vals.pop(0)
-        b = b / (1 - b)
+    total = sum(vals)
+    for top in vals:
+        if top * q <= p * total:
+            break
+        if 2 * p >= q:
+            # b = 1 cannot reach here: top <= total returns above.
+            return Rat(p * (total - top), q - p)
+        total -= top
+        q -= p
+    return Rat(p * total, q)
 
 
 def _kth_largest(item_values: Sequence[int], k: int) -> int:
@@ -406,17 +409,19 @@ class _ThresholdLP(NamedTuple):
     packing: list[tuple[frozenset[int], Rat]]
 
 
-def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozenset[int], int]) -> _ThresholdLP:
+def _threshold_price_lp(
+    values: Sequence[int], b: Rat, t: int, lp: ColumnLP, cols: list[frozenset[int]]
+) -> _ThresholdLP:
     """min sum(p) s.t. p(S) >= b for every S with v(S) >= t, p >= 0.
 
     Solved through its dual, the paper's max-definition scaled by b: pack
     bundles of value >= t with weights lam, each item covered at most once,
-    maximizing b * sum(lam). One `ColumnLP` (unit costs, so the prices are
-    b times its duals) is warm-started column by column: every pooled bundle
-    worth at least t seeds it, then `_min_price_reaching` (the state DP
+    maximizing b * sum(lam). `lp` is that packing (unit costs, so the prices
+    are b times its duals) over the bundles `cols`, each worth at least t. It
+    resumes from its current basis, and `_min_price_reaching` (the state DP
     capped at t, on the LP's integer duals) adds the cheapest bundle of
-    value >= t, lowest value first among the cheapest, while one has duals
-    summing below 1. Every bundle found joins `pool` with its value.
+    value >= t, lowest value first among the cheapest, to both while one has
+    duals summing below 1.
 
     Returns (opt, prices, packing); only the one the outcome needs is
     built, the other is empty. opt < 1 is exact, and its prices, padded to
@@ -427,16 +432,6 @@ def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozen
     if t < 1:
         raise AssertionError(f"threshold LP is only queried at positive thresholds, got {t}")
     m = len(values)
-    lp = ColumnLP([1] * m)
-    cols: list[frozenset[int]] = []
-
-    def add(bundle: frozenset[int]) -> None:
-        cols.append(bundle)
-        lp.add_column(1, [1 if j in bundle else 0 for j in range(m)])
-
-    for bundle, worth in pool.items():
-        if worth >= t:
-            add(bundle)
     while True:
         lp.solve()
         if b.numerator * lp.scaled_value >= b.denominator * lp.det:
@@ -444,9 +439,8 @@ def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozen
         sep = _min_price_reaching(values, lp.scaled_duals(), t)
         if sep is None or sep[0] >= lp.det:
             break
-        _, bundle, worth = sep
-        pool[bundle] = worth
-        add(bundle)
+        cols.append(sep[1])
+        lp.add_column(1, [1 if j in sep[1] else 0 for j in range(m)])
     opt = b * lp.value
     if opt >= 1:
         return _ThresholdLP(opt, (), [(s, w) for s, w in zip(cols, lp.primal()) if w > 0])
@@ -457,68 +451,60 @@ def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, pool: dict[frozen
 def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     """AnyPrice share with a matching price certificate and bundle witness.
 
-    The share value is found by binary search on the integer threshold t,
-    deciding "APS < t" through the exact threshold LP. The search is
-    bracketed by cheap exact bounds, unit_demand_aps <= APS <= floor(tps),
-    and jumps on what each LP proves: APS <= u, the best value affordable
-    at b under its padded prices, and APS >= the least value in its packing.
-    Each threshold gets one warm-started LP, and a cut pool that lives for
-    this call only carries every bundle found at one threshold to each
-    later threshold it is worth: a bundle of value v(S) is a valid column
-    for every t <= v(S). A threshold LP stops as soon as its restricted
-    packing reaches 1, which already proves APS >= t.
+    The share is found by a descent on the integer threshold t through the
+    exact threshold LP, each LP's prices giving the next threshold (the
+    parametric step of Dinkelbach 1967). It starts at t = floor(tps) + 1,
+    which no packing reaches since APS <= TPS. While the LP at t has
+    opt < 1, its prices, padded to sum exactly 1, prove APS <= u, the best
+    value affordable at b under them, and u < t; t drops to u. The descent
+    stops at t = 0 or at the first t whose LP packing reaches 1, which proves
+    APS >= t, so APS = t.
 
-    The certificate comes from the LP that last lowered hi to aps + 1: its
-    prices, padded to sum exactly 1, leave nothing above the share
-    affordable. The witness is the packing of the LP that last raised lo to
-    aps, normalised to weights summing to 1: every bundle is worth at least
-    the share and each item is covered at most b. An end of the bracket no
-    LP set is solved at aps + 1 or aps. Both are then re-checked with
-    `check_price_certificate` and `check_bundle_witness`, which raise
-    AssertionError (also under -O) instead of returning a wrong share. Both
-    oracles run `_subset_states`: at most min(2^m, v(M) + 1) states at any
-    value scale.
+    Thresholds only fall, so a bundle found at one is a valid column at
+    every later one: the whole call warm-starts one `ColumnLP`. The
+    certificate is the padded prices of the last LP with opt < 1, which
+    leave nothing above the share affordable. The witness is the packing of
+    the LP that stopped the descent, normalised to weights summing to 1:
+    every bundle is worth at least the share and each item is covered at
+    most b. Both are re-checked with `check_price_certificate` and
+    `check_bundle_witness`, which raise AssertionError (also under -O)
+    instead of returning a wrong share. Both oracles run `_subset_states`:
+    at most min(2^m, v(M) + 1) states at any value scale.
     """
     b = check_entitlement(b)
     m = valuation.m
     values = valuation.item_values
-    total = valuation.total
-    if m == 0 or total == 0:
+    if m == 0 or valuation.total == 0:
         cert = PriceCertificate(tuple(Rat(1, m) for _ in range(m)) if m else (), b, 0)
         wit = BundleWitness(((),), (Rat(1),), 0)
         return ApsResult(0, cert, wit)
 
-    pool: dict[frozenset[int], int] = {}
-    upper = lower = None
-    lo = unit_demand_aps(values, b)
-    hi = math.floor(tps(valuation, b)) + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        res = _threshold_price_lp(values, b, mid, pool)
-        if res.opt < 1:
-            hi, upper = min(mid, _max_affordable_value(values, res.prices, b) + 1), res
-        else:
-            lo, lower = max(mid, min(pool[s] for s, _ in res.packing)), res
-    aps = lo
-
-    if upper is None:
-        upper = _threshold_price_lp(values, b, aps + 1, pool)
-    if upper.opt >= 1:
-        raise AssertionError(f"APS search: threshold {aps + 1} is reachable, so {aps} is not the share")
-    cert = PriceCertificate(upper.prices, b, aps)
+    lp = ColumnLP([1] * m)
+    cols: list[frozenset[int]] = []
+    t = math.floor(tps(valuation, b)) + 1
+    prices = None
+    while t > 0:
+        res = _threshold_price_lp(values, b, t, lp, cols)
+        if res.opt >= 1:
+            break
+        prices = res.prices
+        u = _max_affordable_value(values, prices, b)
+        if u >= t:
+            raise AssertionError(f"APS search: value {u} is affordable under the prices that exclude {t}")
+        t = u
+    if prices is None:
+        raise AssertionError(f"APS search: threshold {t} is reachable, so floor(tps) is below the share")
+    aps = t
+    cert = PriceCertificate(prices, b, aps)
     if aps == 0:
         wit = BundleWitness(((),), (Rat(1),), 0)
     else:
-        if lower is None:
-            lower = _threshold_price_lp(values, b, aps, pool)
-        if lower.opt < 1:
-            raise AssertionError(f"APS search: threshold {aps} is unreachable, so {aps} is not the share")
-        if len(lower.packing) > m:
-            raise AssertionError(f"APS witness: {len(lower.packing)} bundles exceed {m} items")
-        mass = sum((w for _, w in lower.packing), Rat(0))
+        if len(res.packing) > m:
+            raise AssertionError(f"APS witness: {len(res.packing)} bundles exceed {m} items")
+        mass = sum((w for _, w in res.packing), Rat(0))
         wit = BundleWitness(
-            tuple(tuple(sorted(s)) for s, _ in lower.packing),
-            tuple(w / mass for _, w in lower.packing),
+            tuple(tuple(sorted(s)) for s, _ in res.packing),
+            tuple(w / mass for _, w in res.packing),
             aps,
         )
     if not check_price_certificate(cert, valuation):

@@ -524,6 +524,17 @@ def test_adversary_validates_inputs():
         worst_case_adversary(v, Rat(2, 5), STRATEGIES["tps"](v, Rat(2, 5), None), (True,))
 
 
+def test_adversary_reads_wins_from_any_iterable():
+    # The wins check must not consume an iterator before the rounds are
+    # played: a generator concedes the same rounds as the tuple it yields.
+    v = Valuation((5, 4, 3))
+    b = Rat(1, 2)
+    from_tuple = worst_case_adversary(v, b, STRATEGIES["maxval"](v, b, None), (1, 2))
+    from_generator = worst_case_adversary(v, b, STRATEGIES["maxval"](v, b, None), (k for k in (1, 2)))
+    assert from_generator.to_json_dict() == from_tuple.to_json_dict()
+    assert from_tuple.allocation.bundles == ((0, 1), (2,))
+
+
 def test_adversary_concedes_exactly_the_listed_rounds():
     # Library callers get set semantics: a round is conceded iff `wins` lists
     # it, whatever the order, repeats, rounds past m or count of rounds. Each

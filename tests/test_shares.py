@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,28 @@ def test_tps_values():
 def test_tps_caps_single_huge_item():
     # the top item is worth more than the share, so it is truncated away
     assert tps(Valuation((10, 1, 1)), Rat(1, 3)) == 1
+
+
+def _tps_reference(values, b):
+    """TPS as the paper states it, in plain Fractions: peel the top item while
+    it exceeds the proportional share of what is left, at b/(1-b)."""
+    b = Fraction(b)
+    vals = sorted(values, reverse=True)
+    while vals and vals[0] > b * sum(vals):
+        if b >= Fraction(1, 2):
+            return b / (1 - b) * (sum(vals) - vals[0])
+        vals.pop(0)
+        b = b / (1 - b)
+    return b * sum(vals)
+
+
+def test_tps_matches_fraction_reference():
+    rng = random.Random(23)
+    for k in range(300):
+        v = rand_valuation(rng, m_min=0, m_max=9, vmax=(6, 1000, 10**9)[k % 3])
+        b = rand_entitlement(rng, max_den=9)
+        got = tps(v, b)
+        assert type(got) is Rat and got == _tps_reference(v.item_values, b), (v, b)
 
 
 def test_mms_values():
@@ -180,11 +203,10 @@ def test_witness_support_stays_small():
 
 
 def test_aps_matches_brute_force_at_both_bracket_ends():
-    """The search is bracketed by unit_demand_aps <= APS <= floor(tps), and
-    the certificate and witness come from the LPs that set the final bracket.
-    The share must still match brute force, with checked certificates, when
-    it sits on either end of the bracket, where no LP of the search set that
-    end and it is solved after the search."""
+    """The share lies in unit_demand_aps <= APS <= floor(tps). The descent
+    starts at floor(tps) + 1 and takes the certificate and the witness from
+    its last two LPs. The share must match brute force, with checked
+    certificates, also when it sits on either end of that range."""
     rng = random.Random(53)
     cases = [
         (Valuation((4, 3, 2, 1)), Rat(1)),
@@ -254,7 +276,7 @@ def test_aps_work_counts_are_pinned():
     """The APS work is deterministic, so a change to the search, the cut pool
     or the pivot rule shows up here as a changed count."""
     assert _aps_work(base_valuation(), Rat(2, 5)) == {"lps": 2, "pivots": 8}
-    assert _aps_work(pair_sum_valuation()[0], Rat(1, 3)) == {"lps": 8, "pivots": 243}
+    assert _aps_work(pair_sum_valuation()[0], Rat(1, 3)) == {"lps": 2, "pivots": 91}
 
 
 def test_aps_certificate_checks_survive_optimize_flag():
