@@ -490,10 +490,10 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
         prices = res.prices
         u = _max_affordable_value(values, prices, b)
         if u >= t:
-            raise AssertionError(f"APS search: value {u} is affordable under the prices that exclude {t}")
+            raise AssertionError(f"APS search: {u} is affordable under prices that exclude every bundle worth {t}")
         t = u
     if prices is None:
-        raise AssertionError(f"APS search: threshold {t} is reachable, so floor(tps) is below the share")
+        raise AssertionError(f"APS search: threshold {t} is reachable, so {t - 1} is not the share")
     aps = t
     cert = PriceCertificate(prices, b, aps)
     if aps == 0:

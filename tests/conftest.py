@@ -11,7 +11,7 @@ from helpers import pair_sum_valuation
 def pair_aps():
     """AnyPrice share of the 15-item pair instance at entitlement 1/3.
 
-    The binary search over threshold LPs is the costliest single share
+    The descent over threshold LPs is the costliest single share
     solve in the suite, so it is computed once per session and shared by
     every test that needs it.
     """
