@@ -13,9 +13,10 @@ as the second agent of the same game. It keeps money as integers over a
 common denominator; strategies see `Rat` budgets. One driver, `_sweep`,
 plays the adversary over a list of concession patterns as one prefix tree,
 forking a line where its patterns disagree on a round. Through it
-`worst_case_adversary` plays one pattern, and `worst_case_sweep`,
-`test_z_good` and the CLI every pattern of `enumerate_win_patterns`;
-`test_z_good` ends each line once its outcome is decided.
+`worst_case_adversary` plays one pattern, `worst_case_sweep` and
+`test_z_good` every pattern of `enumerate_win_patterns`, and the CLI's
+`game --adversary` either; `test_z_good` ends each line once its outcome is
+decided.
 
 The strategies here carry worst-case guarantees against arbitrary opponent
 coalitions, expressed against the bidder's own share values. `meta_strategy`

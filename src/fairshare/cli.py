@@ -26,7 +26,6 @@ from .bidding import (
     meta_strategy,
     replay_transcript,
     run_game,
-    worst_case_adversary,
 )
 from .core import (
     Allocation,
@@ -253,52 +252,32 @@ def cmd_game(args) -> int:
         v = inst.valuations[focal]
         b = inst.entitlements[focal]
         name, z = specs.get(focal, ("meta", None))
-        if args.adversary == "worst":
-            # One build plays the whole sweep, so meta's or aps35's simulation
-            # search runs once, and only the worst line's transcript is built.
-            # `min` reads the lines in pattern order, so a tie reports the
-            # first pattern reaching the minimum.
-            patterns = enumerate_win_patterns(inst.m)
-            lines = {wins: game for pats, game in _sweep(v, b, STRATEGIES[name](v, b, z), patterns) for wins in pats}
-            worst = min(patterns, key=lambda wins: v.value(lines[wins].bundles[0]))
-            t = lines[worst].transcript()
-            doc = {
-                "focal": focal,
-                "strategy": name,
-                "patterns_checked": len(patterns),
-                "patterns_feasible": sum(not lines[wins].infeasible for wins in patterns),
-                "min_value": v.value(t.allocation.bundles[0]),
-                "pattern": list(worst),
-                "transcript": t.to_json_dict(),
-            }
-            _write_transcript(args.transcript, t)
-            _emit(doc)
-            return 0
-        wins = _parse_pattern(args.adversary, inst.m)
-        t = worst_case_adversary(v, b, STRATEGIES[name](v, b, z), wins)
-        doc = {
-            "focal": focal,
-            "strategy": name,
-            "pattern": list(wins),
-            "infeasible": t.infeasible,
-            "value": v.value(t.allocation.bundles[0]),
-            "transcript": t.to_json_dict(),
-        }
-        _write_transcript(args.transcript, t)
-        _emit(doc)
-        return 0
-    strategies = []
-    for i in range(inst.n):
-        name, z = specs.get(i, ("meta", None))
-        strategies.append(STRATEGIES[name](inst.valuations[i], inst.entitlements[i], z))
-    transcript = run_game(inst, strategies, tie_break)
-    _write_transcript(args.transcript, transcript)
-    _emit(
-        {
-            "allocation": [list(b) for b in transcript.allocation.bundles],
-            "transcript": transcript.to_json_dict(),
-        }
-    )
+        every = args.adversary == "worst"
+        patterns = enumerate_win_patterns(inst.m) if every else [_parse_pattern(args.adversary, inst.m)]
+        # One build plays every pattern, so meta's or aps35's simulation
+        # search runs once, and only the worst line's transcript is built.
+        # `min` reads the lines in pattern order, so a tie reports the first
+        # pattern reaching the minimum.
+        lines = {wins: game for pats, game in _sweep(v, b, STRATEGIES[name](v, b, z), patterns) for wins in pats}
+        worst = min(patterns, key=lambda wins: v.value(lines[wins].bundles[0]))
+        t = lines[worst].transcript()
+        value = v.value(t.allocation.bundles[0])
+        doc = {"focal": focal, "strategy": name}
+        if every:
+            feasible = sum(not lines[wins].infeasible for wins in patterns)
+            doc.update(patterns_checked=len(patterns), patterns_feasible=feasible, min_value=value, pattern=list(worst))
+        else:
+            doc.update(pattern=list(worst), infeasible=t.infeasible, value=value)
+    else:
+        strategies = []
+        for i in range(inst.n):
+            name, z = specs.get(i, ("meta", None))
+            strategies.append(STRATEGIES[name](inst.valuations[i], inst.entitlements[i], z))
+        t = run_game(inst, strategies, tie_break)
+        doc = {"allocation": [list(b) for b in t.allocation.bundles]}
+    doc["transcript"] = t.to_json_dict()
+    _write_transcript(args.transcript, t)
+    _emit(doc)
     return 0
 
 

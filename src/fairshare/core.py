@@ -42,13 +42,13 @@ class GuardError(RuntimeError):
 def guard_limit() -> int:
     """Work limit for the exponential/pseudo-polynomial solvers.
 
-    Overridable through the FAIRSHARE_GUARD_LIMIT environment variable.
+    Overridable through FAIRSHARE_GUARD_LIMIT, read as ASCII digits.
     """
     raw = os.environ.get("FAIRSHARE_GUARD_LIMIT")
     if raw is None:
         return DEFAULT_GUARD_LIMIT
     try:
-        value = int(raw)
+        value = _int_from_str(raw)
     except ValueError:
         raise InputError(f"FAIRSHARE_GUARD_LIMIT: not an integer: {raw!r}") from None
     if value <= 0:

@@ -72,15 +72,17 @@ def resolve_envy_cycles(alloc: Allocation, inst: Instance) -> Allocation:
     return Allocation(tuple(tuple(b) for b in bundles))
 
 
-def _resolve(bundles: list[list[int]], inst: Instance) -> list[list[int]]:
+def _resolve(bundles: list[list[int]], inst: Instance) -> tuple[list[list[int]], list[list[int]]]:
+    """Rotate until the envy graph is acyclic; return the cycles and that graph."""
     rotations: list[list[int]] = []
     # Every rotation strictly increases the integer sum of own-bundle values,
     # which never exceeds the sum of the valuation totals.
     cap = sum(v.total for v in inst.valuations) + 1
     while True:
-        cycle = _find_cycle(_envy_adjacency(bundles, inst))
+        adj = _envy_adjacency(bundles, inst)
+        cycle = _find_cycle(adj)
         if cycle is None:
-            return rotations
+            return rotations, adj
         _rotate(bundles, cycle)
         rotations.append(cycle)
         if len(rotations) > cap:
@@ -136,8 +138,7 @@ def greedy_efx(inst: Instance) -> tuple[Allocation, list[dict]]:
     prefer: dict[tuple[int, int], int] = {}
     trace: list[dict] = []
     for item in range(inst.m):
-        rotations = _resolve(bundles, inst)
-        adj = _envy_adjacency(bundles, inst)
+        rotations, adj = _resolve(bundles, inst)
         envied = {j for i in range(inst.n) for j in adj[i]}
         eligible = [i for i in range(inst.n) if i not in envied]
         if not eligible:
@@ -152,7 +153,5 @@ def greedy_efx(inst: Instance) -> tuple[Allocation, list[dict]]:
 def greedy_efx_full(inst: Instance) -> Allocation:
     """Order the instance, run the greedy placement, and lift the result back
     to the original items. Equal entitlements only."""
-    if not inst.equal_entitlements():
-        raise InputError("greedy-efx: equal entitlements required")
     ordered_alloc, _ = greedy_efx(ordered_version(inst).ordered_instance)
     return lift_allocation(inst, ordered_alloc)

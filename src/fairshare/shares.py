@@ -403,16 +403,9 @@ def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bo
     return all(c <= b for c in coverage)
 
 
-class _ThresholdLP(NamedTuple):
-    opt: Rat
-    prices: tuple[Rat, ...]
-    packing: list[tuple[frozenset[int], Rat]]
-
-
-def _threshold_price_lp(
-    values: Sequence[int], b: Rat, t: int, lp: ColumnLP, cols: list[frozenset[int]]
-) -> _ThresholdLP:
-    """min sum(p) s.t. p(S) >= b for every S with v(S) >= t, p >= 0.
+def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, lp: ColumnLP, cols: list[frozenset[int]]) -> bool:
+    """min sum(p) s.t. p(S) >= b for every S with v(S) >= t, p >= 0, and
+    whether its optimum reaches 1.
 
     Solved through its dual, the paper's max-definition scaled by b: pack
     bundles of value >= t with weights lam, each item covered at most once,
@@ -423,29 +416,23 @@ def _threshold_price_lp(
     value >= t, lowest value first among the cheapest, to both while one has
     duals summing below 1.
 
-    Returns (opt, prices, packing); only the one the outcome needs is
-    built, the other is empty. opt < 1 is exact, and its prices, padded to
-    sum exactly 1, leave every bundle of value >= t unaffordable at b.
-    opt >= 1 may stop early on a restricted column set: its packing, the
-    bundles of positive weight, already proves APS >= t.
+    The answer is read off `lp`. False is exact: opt = b * lp.value < 1, and
+    the prices b * lp.duals(), padded to sum exactly 1, leave every bundle of
+    value >= t unaffordable at b. True may stop early on a restricted column
+    set: the bundles of `cols` with positive weight in lp.primal() already
+    pack to 1 and prove APS >= t.
     """
     if t < 1:
         raise AssertionError(f"threshold LP is only queried at positive thresholds, got {t}")
-    m = len(values)
     while True:
         lp.solve()
         if b.numerator * lp.scaled_value >= b.denominator * lp.det:
-            break
+            return True
         sep = _min_price_reaching(values, lp.scaled_duals(), t)
         if sep is None or sep[0] >= lp.det:
-            break
+            return False
         cols.append(sep[1])
-        lp.add_column(1, [1 if j in sep[1] else 0 for j in range(m)])
-    opt = b * lp.value
-    if opt >= 1:
-        return _ThresholdLP(opt, (), [(s, w) for s, w in zip(cols, lp.primal()) if w > 0])
-    pad = (1 - opt) / m
-    return _ThresholdLP(opt, tuple(b * y + pad for y in lp.duals()), [])
+        lp.add_column(1, [1 if j in sep[1] else 0 for j in range(len(values))])
 
 
 def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
@@ -455,39 +442,37 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     exact threshold LP, each LP's prices giving the next threshold (the
     parametric step of Dinkelbach 1967). It starts at t = floor(tps) + 1,
     which no packing reaches since APS <= TPS. While the LP at t has
-    opt < 1, its prices, padded to sum exactly 1, prove APS <= u, the best
-    value affordable at b under them, and u < t; t drops to u. The descent
-    stops at t = 0 or at the first t whose LP packing reaches 1, which proves
-    APS >= t, so APS = t.
+    opt < 1, its prices b * duals, padded to sum exactly 1, prove APS <= u,
+    the best value affordable at b under them, and u < t; t drops to u. The
+    descent stops at t = 0 or at the first t whose LP packing reaches 1,
+    which proves APS >= t, so APS = t. An all-zero valuation descends from
+    t = 1 to 0 under uniform prices.
 
     Thresholds only fall, so a bundle found at one is a valid column at
     every later one: the whole call warm-starts one `ColumnLP`. The
     certificate is the padded prices of the last LP with opt < 1, which
-    leave nothing above the share affordable. The witness is the packing of
-    the LP that stopped the descent, normalised to weights summing to 1:
-    every bundle is worth at least the share and each item is covered at
-    most b. Both are re-checked with `check_price_certificate` and
-    `check_bundle_witness`, which raise AssertionError (also under -O)
-    instead of returning a wrong share. Both oracles run `_subset_states`:
-    at most min(2^m, v(M) + 1) states at any value scale.
+    leave nothing above the share affordable. The witness is that LP's
+    primal packing at the threshold that stopped the descent, normalised to
+    weights summing to 1: every bundle is worth at least the share and each
+    item is covered at most b. Both are re-checked with
+    `check_price_certificate` and `check_bundle_witness`, which raise
+    AssertionError (also under -O) instead of returning a wrong share. Both
+    oracles run `_subset_states`: at most min(2^m, v(M) + 1) states at any
+    value scale.
     """
     b = check_entitlement(b)
     m = valuation.m
     values = valuation.item_values
-    if m == 0 or valuation.total == 0:
-        cert = PriceCertificate(tuple(Rat(1, m) for _ in range(m)) if m else (), b, 0)
-        wit = BundleWitness(((),), (Rat(1),), 0)
-        return ApsResult(0, cert, wit)
+    if m == 0:
+        return ApsResult(0, PriceCertificate((), b, 0), BundleWitness(((),), (Rat(1),), 0))
 
     lp = ColumnLP([1] * m)
     cols: list[frozenset[int]] = []
     t = math.floor(tps(valuation, b)) + 1
     prices = None
-    while t > 0:
-        res = _threshold_price_lp(values, b, t, lp, cols)
-        if res.opt >= 1:
-            break
-        prices = res.prices
+    while t > 0 and not _threshold_price_lp(values, b, t, lp, cols):
+        pad = (1 - b * lp.value) / m
+        prices = tuple(b * y + pad for y in lp.duals())
         u = _max_affordable_value(values, prices, b)
         if u >= t:
             raise AssertionError(f"APS search: {u} is affordable under prices that exclude every bundle worth {t}")
@@ -499,14 +484,11 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     if aps == 0:
         wit = BundleWitness(((),), (Rat(1),), 0)
     else:
-        if len(res.packing) > m:
-            raise AssertionError(f"APS witness: {len(res.packing)} bundles exceed {m} items")
-        mass = sum((w for _, w in res.packing), Rat(0))
-        wit = BundleWitness(
-            tuple(tuple(sorted(s)) for s, _ in res.packing),
-            tuple(w / mass for _, w in res.packing),
-            aps,
-        )
+        packing = [(s, w) for s, w in zip(cols, lp.primal()) if w > 0]
+        if len(packing) > m:
+            raise AssertionError(f"APS witness: {len(packing)} bundles exceed {m} items")
+        mass = sum((w for _, w in packing), Rat(0))
+        wit = BundleWitness(tuple(tuple(sorted(s)) for s, _ in packing), tuple(w / mass for _, w in packing), aps)
     if not check_price_certificate(cert, valuation):
         raise AssertionError(f"APS certificate: a bundle worth more than {aps} is affordable")
     if not check_bundle_witness(wit, valuation, b):

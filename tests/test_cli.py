@@ -13,7 +13,7 @@ import fairshare.shares
 import fairshare.verify
 from fairshare.bidding import GameTranscript, Strategy, _Game, enumerate_win_patterns, worst_case_adversary
 from fairshare.cli import STRATEGIES, main
-from fairshare.core import InputError, parse_instance
+from fairshare.core import InputError, guard_limit, parse_instance
 
 BASE_EXAMPLE = {
     "agents": [
@@ -150,6 +150,18 @@ def test_shares_guard_exit(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["shares", path, "--notions", "aps"])
     assert code == 3
     assert "size guard" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "\u0663", " 7", "1_000"])
+def test_guard_limit_takes_ascii_digits_only(tmp_path, capsys, monkeypatch, raw):
+    # int() would read the last three as 3, 7 and 1000.
+    monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", raw)
+    with pytest.raises(InputError) as exc:
+        guard_limit()
+    assert str(exc.value).startswith("FAIRSHARE_GUARD_LIMIT: ")
+    code, out, err = run_cli(capsys, ["shares", write(tmp_path, "inst.json", BASE_EXAMPLE)])
+    assert (code, out) == (2, None)
+    assert err == f"error: {exc.value}\n"
 
 
 def test_shares_huge_values_solve(tmp_path, capsys):
@@ -351,6 +363,27 @@ def test_verify_starved_agent(tmp_path, capsys):
     assert code == 1
     assert "verification failed" in err
     assert doc["bounds"]["all_passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "{inst}", "{three}"], "allocation: expected 2 bundles, got 3"),
+        (["verify", "{inst}", "{one}"], "allocation: expected 2 bundles, got 1"),
+        (["shares", "{inst}", "--notions", " , "], "notions: empty list"),
+        (["shares", "{inst}", "--agent", "5"], "agent: index 5 out of range"),
+        (["game", "{inst}", "--focal", "5", "--adversary", "worst"], "focal: agent 5 out of range"),
+        (["game", "{inst}", "--adversary", "best"], "adversary: expected 'worst' or 'pattern:K[,L]', got 'best'"),
+    ],
+)
+def test_input_error_texts(tmp_path, capsys, argv, message):
+    paths = {
+        "inst": write(tmp_path, "inst.json", BASE_EXAMPLE),
+        "three": write(tmp_path, "three.json", [[0, 1], [2, 3], [4]]),
+        "one": write(tmp_path, "one.json", [[0, 1, 2, 3, 4]]),
+    }
+    code, out, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out, err) == (2, None, f"error: {message}\n")
 
 
 def test_game_worst_case_sweep(tmp_path, capsys):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -178,6 +179,48 @@ def test_bundle_witness_checker():
     assert not check_bundle_witness(short, v, Rat(2, 5))
 
 
+@pytest.mark.parametrize(
+    "breaks",
+    [
+        lambda c, w: (replace(c, prices=c.prices[:-1]), w),
+        lambda c, w: (replace(c, prices=c.prices + (Rat(0),)), w),
+        lambda c, w: (c, replace(w, sets=(), weights=())),
+        lambda c, w: (c, replace(w, sets=w.sets + (w.sets[0],))),
+        lambda c, w: (c, replace(w, sets=w.sets + (w.sets[0],), weights=w.weights + (Rat(0),))),
+        lambda c, w: (c, replace(w, sets=w.sets + w.sets[:1] * 2, weights=w.weights + (Rat(-1, 5), Rat(1, 5)))),
+        lambda c, w: (c, replace(w, sets=w.sets[:-1] + (w.sets[-1] + (4, 4),))),
+        lambda c, w: (c, replace(w, sets=w.sets[:-1] + (w.sets[-1] + (5,),))),
+        lambda c, w: (c, replace(w, sets=w.sets[:-1] + (w.sets[-1] + (-1,),))),
+        lambda c, w: (c, replace(w, value_floor=w.value_floor + 1)),
+    ],
+    ids=[
+        "fewer-prices",
+        "more-prices",
+        "no-sets",
+        "more-sets-than-weights",
+        "zero-weight",
+        "negative-weight",
+        "repeated-item",
+        "item-m",
+        "item-minus-one",
+        "set-below-floor",
+    ],
+)
+def test_certificate_checkers_reject_each_broken_condition(breaks):
+    """Each row breaks one condition of the valid certificate and witness of
+    the running example and keeps the others: every extra set is worth the
+    floor, weights still sum to 1, and item 4 (worth 0, uncovered) stays
+    covered at most b = 2/5 by the last set, of weight 1/5. Without the range
+    check, item -1 would count as item 4 and pass."""
+    v, b = base_valuation(), Rat(2, 5)
+    res = aps_exact(v, b)
+    assert check_price_certificate(res.certificate, v) and check_bundle_witness(res.witness, v, b)
+    assert res.witness.weights[-1] == Rat(1, 5) and all(4 not in s for s in res.witness.sets)
+    cert, wit = breaks(res.certificate, res.witness)
+    assert check_price_certificate(cert, v) is (cert == res.certificate)
+    assert check_bundle_witness(wit, v, b) is (wit == res.witness)
+
+
 def test_pair_instance_shares(pair_aps):
     v, pairs, rows = pair_sum_valuation()
     assert v.total == 291
@@ -215,8 +258,8 @@ def test_aps_matches_brute_force_at_both_bracket_ends():
         (Valuation((0, 0, 0)), Rat(1, 3)),
     ]
     cases += [(rand_valuation(rng, m_max=7, vmax=8), rand_entitlement(rng, max_den=5)) for _ in range(40)]
-    # Value scales the search bracket spans by up to 10^9; aps_brute does not
-    # depend on the scale.
+    # Value scales up to 10^9 widen that range; aps_brute does not depend on
+    # the scale.
     cases.append((Valuation((10**7, 1)), Rat(1, 2)))
     cases += [(rand_valuation(rng, m_max=7, vmax=10**9), rand_entitlement(rng, max_den=5)) for _ in range(15)]
     at_low_only = at_high_only = 0
@@ -273,8 +316,8 @@ def _aps_work(v, b):
 
 
 def test_aps_work_counts_are_pinned():
-    """The APS work is deterministic, so a change to the search, the cut pool
-    or the pivot rule shows up here as a changed count."""
+    """The APS work is deterministic, so a change to the descent, the column
+    search or the pivot rule shows up here as a changed count."""
     assert _aps_work(base_valuation(), Rat(2, 5)) == {"lps": 2, "pivots": 8}
     assert _aps_work(pair_sum_valuation()[0], Rat(1, 3)) == {"lps": 2, "pivots": 91}
 
@@ -416,6 +459,11 @@ def test_two_agent_split_rejects_bad_entitlements():
     v = Valuation((1, 1))
     with pytest.raises(InputError):
         two_agent_aps_allocation(v, v, Rat(1, 2), Rat(1, 3))
+
+
+def test_two_agent_split_rejects_mismatched_item_counts():
+    with pytest.raises(InputError, match="^valuations: item counts differ$"):
+        two_agent_aps_allocation(Valuation((1, 1)), Valuation((1, 1, 1)), Rat(1, 2), Rat(1, 2))
 
 
 def test_guard_trips_on_tiny_limit(monkeypatch):
