@@ -403,7 +403,9 @@ def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bo
     return all(c <= b for c in coverage)
 
 
-def _threshold_price_lp(values: Sequence[int], b: Rat, t: int, lp: ColumnLP, cols: list[frozenset[int]]) -> bool:
+def _threshold_price_lp(
+    values: Sequence[int], b: Rat, t: int, lp: ColumnLP, cols: list[frozenset[int]]
+) -> bool:
     """min sum(p) s.t. p(S) >= b for every S with v(S) >= t, p >= 0, and
     whether its optimum reaches 1.
 
@@ -451,14 +453,13 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     Thresholds only fall, so a bundle found at one is a valid column at
     every later one: the whole call warm-starts one `ColumnLP`. The
     certificate is the padded prices of the last LP with opt < 1, which
-    leave nothing above the share affordable. The witness is that LP's
-    primal packing at the threshold that stopped the descent, normalised to
-    weights summing to 1: every bundle is worth at least the share and each
-    item is covered at most b. Both are re-checked with
-    `check_price_certificate` and `check_bundle_witness`, which raise
-    AssertionError (also under -O) instead of returning a wrong share. Both
-    oracles run `_subset_states`: at most min(2^m, v(M) + 1) states at any
-    value scale.
+    leave nothing above the share affordable. The witness is the LP's primal
+    packing at the threshold that stopped the descent, normalised to weights
+    summing to 1: every bundle is worth at least the share and each item is
+    covered at most b. Both are re-checked with `check_price_certificate`
+    and `check_bundle_witness`, which raise AssertionError (also under -O)
+    instead of returning a wrong share. Both oracles run `_subset_states`:
+    at most min(2^m, v(M) + 1) states at any value scale.
     """
     b = check_entitlement(b)
     m = valuation.m
@@ -488,7 +489,11 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
         if len(packing) > m:
             raise AssertionError(f"APS witness: {len(packing)} bundles exceed {m} items")
         mass = sum((w for _, w in packing), Rat(0))
-        wit = BundleWitness(tuple(tuple(sorted(s)) for s, _ in packing), tuple(w / mass for _, w in packing), aps)
+        wit = BundleWitness(
+            tuple(tuple(sorted(s)) for s, _ in packing),
+            tuple(w / mass for _, w in packing),
+            aps,
+        )
     if not check_price_certificate(cert, valuation):
         raise AssertionError(f"APS certificate: a bundle worth more than {aps} is affordable")
     if not check_bundle_witness(wit, valuation, b):

@@ -182,36 +182,31 @@ def test_bundle_witness_checker():
 @pytest.mark.parametrize(
     "breaks",
     [
-        lambda c, w: (replace(c, prices=c.prices[:-1]), w),
-        lambda c, w: (replace(c, prices=c.prices + (Rat(0),)), w),
-        lambda c, w: (c, replace(w, sets=(), weights=())),
-        lambda c, w: (c, replace(w, sets=w.sets + (w.sets[0],))),
-        lambda c, w: (c, replace(w, sets=w.sets + (w.sets[0],), weights=w.weights + (Rat(0),))),
-        lambda c, w: (c, replace(w, sets=w.sets + w.sets[:1] * 2, weights=w.weights + (Rat(-1, 5), Rat(1, 5)))),
-        lambda c, w: (c, replace(w, sets=w.sets[:-1] + (w.sets[-1] + (4, 4),))),
-        lambda c, w: (c, replace(w, sets=w.sets[:-1] + (w.sets[-1] + (5,),))),
-        lambda c, w: (c, replace(w, sets=w.sets[:-1] + (w.sets[-1] + (-1,),))),
-        lambda c, w: (c, replace(w, value_floor=w.value_floor + 1)),
-    ],
-    ids=[
-        "fewer-prices",
-        "more-prices",
-        "no-sets",
-        "more-sets-than-weights",
-        "zero-weight",
-        "negative-weight",
-        "repeated-item",
-        "item-m",
-        "item-minus-one",
-        "set-below-floor",
+        pytest.param(lambda c, w: (replace(c, prices=c.prices[:-1]), w), id="fewer-prices"),
+        pytest.param(lambda c, w: (replace(c, prices=c.prices + (Rat(0),)), w), id="more-prices"),
+        pytest.param(lambda c, w: (c, replace(w, sets=(), weights=())), id="no-sets"),
+        pytest.param(lambda c, w: (c, replace(w, sets=w.sets + w.sets[:1])), id="more-sets-than-weights"),
+        pytest.param(
+            lambda c, w: (c, replace(w, sets=w.sets + w.sets[:1], weights=w.weights + (Rat(0),))), id="zero-weight"
+        ),
+        pytest.param(
+            lambda c, w: (c, replace(w, sets=w.sets + w.sets[:1] * 2, weights=w.weights + (Rat(-1, 5), Rat(1, 5)))),
+            id="negative-weight",
+        ),
+        pytest.param(lambda c, w: (c, replace(w, sets=w.sets[:-1] + (w.sets[-1] + (4, 4),))), id="repeated-item"),
+        pytest.param(lambda c, w: (c, replace(w, sets=w.sets[:-1] + (w.sets[-1] + (5,),))), id="item-m"),
+        pytest.param(lambda c, w: (c, replace(w, sets=w.sets[:-1] + (w.sets[-1] + (-1,),))), id="item-minus-one"),
+        pytest.param(lambda c, w: (c, replace(w, value_floor=w.value_floor + 1)), id="set-below-floor"),
     ],
 )
 def test_certificate_checkers_reject_each_broken_condition(breaks):
     """Each row breaks one condition of the valid certificate and witness of
-    the running example and keeps the others: every extra set is worth the
-    floor, weights still sum to 1, and item 4 (worth 0, uncovered) stays
-    covered at most b = 2/5 by the last set, of weight 1/5. Without the range
-    check, item -1 would count as item 4 and pass."""
+    the running example, and each checker must return False, not raise. The
+    rows keep the other conditions where they can (an empty witness also has
+    weights summing to 0): every extra set is worth the floor, weights still
+    sum to 1, and item 4 (worth 0, uncovered) stays covered at most b = 2/5
+    by the last set, of weight 1/5. Without the range check, item -1 would
+    count as item 4 and pass."""
     v, b = base_valuation(), Rat(2, 5)
     res = aps_exact(v, b)
     assert check_price_certificate(res.certificate, v) and check_bundle_witness(res.witness, v, b)
