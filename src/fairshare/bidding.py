@@ -13,10 +13,10 @@ as the second agent of the same game. It keeps money as integers over a
 common denominator; strategies see `Rat` budgets. One driver, `_sweep`,
 plays the adversary over a list of concession patterns as one prefix tree,
 forking a line where its patterns disagree on a round. Through it
-`worst_case_adversary` plays one pattern, `worst_case_sweep` and
-`test_z_good` every pattern of `enumerate_win_patterns`, and the CLI's
-`game --adversary` either; `test_z_good` ends each line once its outcome is
-decided.
+`worst_case_line` picks the worst line of any list of patterns, which the
+CLI's `game --adversary` reports and `worst_case_adversary` plays for one
+pattern, and `test_z_good` plays every pattern of `enumerate_win_patterns`,
+ending each line once its outcome is decided.
 
 The strategies here carry worst-case guarantees against arbitrary opponent
 coalitions, expressed against the bidder's own share values. `meta_strategy`
@@ -52,6 +52,7 @@ from .core import (
     _json_rat,
     _json_rats,
     _json_strs,
+    _ranking,
     check_entitlement,
     rat_to_str,
 )
@@ -108,12 +109,6 @@ def _copy(obj):
     twin = type(obj).__new__(type(obj))
     twin.__dict__.update(obj.__dict__)
     return twin
-
-
-def _ranking(scores, items) -> tuple[int, ...]:
-    """`items` by score descending, ties to the lowest index: the order
-    `Valuation.ranked_items` gives plain values."""
-    return tuple(sorted(items, key=lambda j: (-scores[j], j)))
 
 
 def _first(ranking: Sequence[int], remaining: Sequence[int], count: int = 1) -> tuple[int, ...]:
@@ -243,9 +238,9 @@ class _Game:
         if (
             isinstance(taken, (tuple, list))
             and taken
+            and all(isinstance(j, int) and not isinstance(j, bool) for j in taken)
             and len(set(taken)) == len(taken)
             and set(taken) <= set(self.remaining)
-            and all(isinstance(j, int) and not isinstance(j, bool) for j in taken)
             and self.fits(i, bid, len(taken))
         ):
             return tuple(sorted(taken))
@@ -371,7 +366,7 @@ class _ZeroStrategy(Strategy):
     their fallback; the capped bidders rank by capped values instead."""
 
     def __init__(self, valuation: Valuation) -> None:
-        self.ranking = tuple(valuation.ranked_items())
+        self.ranking = valuation.ranked_items()
 
     def bid(self, view: AgentView) -> Rat:
         return _ZERO
@@ -670,13 +665,31 @@ def worst_case_adversary(
     also go to the coalition. When the coalition cannot afford an outbid it
     is forced to concede that round too: the transcript is flagged infeasible
     but still played to completion, so its final value is the real outcome of
-    the exhausted-coalition line. This is the one line `_sweep` plays for
-    the single pattern `wins`.
+    the exhausted-coalition line. This is `worst_case_line` over the single
+    pattern `wins`.
     """
-    wins = tuple(wins)
-    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in wins):
-        raise InputError(f"wins: expected 1-based round indices, got {wins!r}")
-    return next(_sweep(valuation, b, strategy, [wins]))[1].transcript()
+    return worst_case_line(valuation, b, strategy, [wins])[1]
+
+
+def worst_case_line(
+    valuation: Valuation, b: Rat, strategy: Strategy, patterns: Sequence[Sequence[int]] | None = None
+) -> tuple[tuple[int, ...], GameTranscript, int]:
+    """The worst adversary line over `patterns` (default: every pattern of
+    `enumerate_win_patterns(valuation.m)`), each the conceded rounds of one
+    `worst_case_adversary` line: the first pattern, in list order, whose line
+    leaves the agent the least value, that line's transcript, and how many
+    patterns end on a feasible line. `_sweep` plays the patterns as one
+    prefix tree, so `strategy` plays the first line: pass an unplayed one.
+    """
+    patterns = [tuple(wins) for wins in (enumerate_win_patterns(valuation.m) if patterns is None else patterns)]
+    if not patterns:
+        raise InputError("patterns: expected at least one concession pattern")
+    for wins in patterns:
+        if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in wins):
+            raise InputError(f"wins: expected 1-based round indices, got {wins!r}")
+    lines = {wins: game for pats, game in _sweep(valuation, b, strategy, patterns) for wins in pats}
+    worst = min(patterns, key=lambda wins: valuation.value(lines[wins].bundles[0]))
+    return worst, lines[worst].transcript(), sum(not lines[wins].infeasible for wins in patterns)
 
 
 def _sweep(
@@ -707,23 +720,6 @@ def _sweep(
                 pats = rest
             _coalition_round(game, strat, bid, not rest)
         yield pats, game
-
-
-def worst_case_sweep(
-    valuation: Valuation, b: Rat, strategy: Strategy
-) -> Iterator[tuple[tuple[int, ...], GameTranscript]]:
-    """Yield `(wins, worst_case_adversary(valuation, b, strategy, wins))` once
-    for every pattern of `enumerate_win_patterns(valuation.m)`, lazily.
-
-    `_sweep` plays them as one prefix tree, so `strategy` plays the
-    no-concession line: pass an unplayed one. A pattern that concedes a
-    round bid at 0 shares the transcript of the line that outbids it, and so
-    does one that concedes a round after that line's last round.
-    """
-    for patterns, game in _sweep(valuation, b, strategy, enumerate_win_patterns(valuation.m)):
-        transcript = game.transcript()
-        for wins in patterns:
-            yield wins, transcript
 
 
 def test_z_good(valuation: Valuation, b: Rat, z: int) -> bool:
@@ -767,7 +763,9 @@ def best_good_z(valuation: Valuation, b: Rat) -> int:
 
 def meta_guarantees(valuation: Valuation, b: Rat) -> tuple[int, dict[str, Rat]]:
     """Simulation-backed guarantee of each candidate strategy, plus the z the
-    three-step strategy would target."""
+    three-step strategy would target. The `aps35` entry, 3z/5 at
+    `best_good_z`, is simulated against at most two concessions; a coalition
+    conceding more rounds can hold the strategy below it when z > APS."""
     z = best_good_z(valuation, b)
     return z, {
         "aps35": Rat(3, 5) * z,

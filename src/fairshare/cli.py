@@ -20,12 +20,12 @@ import sys
 from .bidding import (
     STRATEGIES,
     GameTranscript,
-    _sweep,
     avoided_agent,
     enumerate_win_patterns,
     meta_strategy,
     replay_transcript,
     run_game,
+    worst_case_line,
 )
 from .core import (
     Allocation,
@@ -238,15 +238,19 @@ def cmd_verify(args) -> int:
 
 def cmd_game(args) -> int:
     inst = _load_instance(args.instance)
-    tie_break = _parse_tie_break(args.tie_break, inst.n)
     if args.replay is not None:
+        # A replay plays nothing, so the options of the other modes are refused.
+        for option in ("adversary", "focal", "strategies", "tie_break", "transcript"):
+            if getattr(args, option) is not None:
+                raise InputError(f"--{option.replace('_', '-')}: not used with --replay")
         transcript = GameTranscript.from_json_dict(_json_doc(_read(args.replay), "transcript"))
         alloc = replay_transcript(inst, transcript)
         _emit({"replay": "ok", "allocation": [list(b) for b in alloc.bundles]})
         return 0
+    tie_break = _parse_tie_break("lowest" if args.tie_break is None else args.tie_break, inst.n)
     specs = _parse_strategy_specs(args.strategies, inst.n)
     if args.adversary is not None:
-        focal = args.focal
+        focal = 0 if args.focal is None else args.focal
         if not (0 <= focal < inst.n):
             raise InputError(f"focal: agent {focal} out of range")
         v = inst.valuations[focal]
@@ -255,16 +259,11 @@ def cmd_game(args) -> int:
         every = args.adversary == "worst"
         patterns = enumerate_win_patterns(inst.m) if every else [_parse_pattern(args.adversary, inst.m)]
         # One build plays every pattern, so meta's or aps35's simulation
-        # search runs once, and only the worst line's transcript is built.
-        # `min` reads the lines in pattern order, so a tie reports the first
-        # pattern reaching the minimum.
-        lines = {wins: game for pats, game in _sweep(v, b, STRATEGIES[name](v, b, z), patterns) for wins in pats}
-        worst = min(patterns, key=lambda wins: v.value(lines[wins].bundles[0]))
-        t = lines[worst].transcript()
+        # search runs once.
+        worst, t, feasible = worst_case_line(v, b, STRATEGIES[name](v, b, z), patterns)
         value = v.value(t.allocation.bundles[0])
         doc = {"focal": focal, "strategy": name}
         if every:
-            feasible = sum(not lines[wins].infeasible for wins in patterns)
             doc.update(patterns_checked=len(patterns), patterns_feasible=feasible, min_value=value, pattern=list(worst))
         else:
             doc.update(pattern=list(worst), infeasible=t.infeasible, value=value)
@@ -295,6 +294,14 @@ def _parse_pattern(text: str, m: int) -> tuple[int, ...]:
     return wins
 
 
+def _agent_index(text: str) -> int:
+    return _int_from_str(text)
+
+
+# argparse names a bad value by its type's name: "invalid agent index value".
+_agent_index.__name__ = "agent index"
+
+
 def _write_transcript(path: str | None, transcript: GameTranscript) -> None:
     """Write the transcript to `path`, if given; called before `_emit`, so a
     path that cannot be written leaves stdout empty."""
@@ -318,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shares", help="compute share values for the agents of an instance")
     p.add_argument("instance")
-    p.add_argument("--agent", type=_int_from_str, default=None, help="only this agent (default: all)")
+    p.add_argument("--agent", type=_agent_index, default=None, help="only this agent (default: all)")
     p.add_argument(
         "--notions",
         default="proportional,tps,aps,pessimistic",
@@ -342,9 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="run bidding games, adversary sweeps, or replays")
     p.add_argument("instance")
     p.add_argument("--strategies", default=None, help="e.g. '0=aps35,1=tps,2=aps35:7'")
-    p.add_argument("--focal", type=_int_from_str, default=0, help="agent under test in adversary mode")
+    p.add_argument("--focal", type=_agent_index, default=None, help="agent under test in adversary mode (default: 0)")
     p.add_argument("--adversary", default=None, help="'worst' or 'pattern:K[,L]'")
-    p.add_argument("--tie-break", default="lowest", help="'lowest' or 'avoid:I'")
+    p.add_argument("--tie-break", default=None, help="'lowest' (default) or 'avoid:I'")
     p.add_argument("--transcript", default=None, metavar="OUT", help="write the transcript JSON here")
     p.add_argument("--replay", default=None, metavar="FILE", help="validate a transcript against the instance")
     p.set_defaults(func=cmd_game)

@@ -172,7 +172,14 @@ class Valuation:
 
     def ranked_items(self) -> list[int]:
         """Item indices sorted by value descending, ties by index ascending."""
-        return sorted(range(self.m), key=lambda j: (-self.item_values[j], j))
+        return _ranking(self.item_values, range(self.m))
+
+
+def _ranking(scores, items: Iterable[int]) -> list[int]:
+    """`items` by score descending, ties to the lowest index: the one item
+    order of the package, for plain values and for the capped values of the
+    bidders alike."""
+    return sorted(items, key=lambda j: (-scores[j], j))
 
 
 def check_entitlement(b: Rat, path: str = "entitlement") -> Rat:
@@ -334,15 +341,6 @@ def _check_fits(inst: Instance, alloc: Allocation) -> None:
         raise InputError(f"allocation: expected {inst.n} bundles, got {alloc.n}")
 
 
-@dataclass(frozen=True)
-class OrderedReduction:
-    """An instance with each agent's values sorted non-increasing, plus the
-    per-agent map from ordered rank to original item index."""
-
-    ordered_instance: Instance
-    per_agent_permutation: tuple[tuple[int, ...], ...]
-
-
 def is_ordered(inst: Instance) -> bool:
     for v in inst.valuations:
         row = v.item_values
@@ -351,47 +349,37 @@ def is_ordered(inst: Instance) -> bool:
     return True
 
 
-def ordered_version(inst: Instance) -> OrderedReduction:
-    """Sort each agent's values non-increasing, independently per agent.
-
-    Ties are broken by original item index, so the reduction is deterministic
-    and idempotent on already-ordered instances.
-    """
-    perms = []
-    rows = []
-    for v in inst.valuations:
-        order = v.ranked_items()
-        perms.append(tuple(order))
-        rows.append([v.item_values[j] for j in order])
-    ordered = make_instance(
-        rows,
+def ordered_version(inst: Instance) -> Instance:
+    """Sort each agent's values non-increasing, independently per agent; rank
+    r of agent i is item `inst.valuations[i].ranked_items()[r]`. Idempotent on
+    already-ordered instances."""
+    return make_instance(
+        [sorted(v.item_values, reverse=True) for v in inst.valuations],
         list(inst.entitlements),
         list(inst.agent_names),
         [f"rank{r + 1}" for r in range(inst.m)],
     )
-    return OrderedReduction(ordered, tuple(perms))
 
 
 def lift_allocation(inst: Instance, ordered_alloc: Allocation) -> Allocation:
     """Map an allocation of the ordered instance back to the original items.
 
     Runs the choosing sequence: at rank r the agent holding the r-th ordered
-    item picks her highest-value remaining original item. Guarantees, for
-    every agent, original value of the lifted bundle >= ordered value of the
-    ordered bundle.
+    item picks her highest-value remaining original item, the first item of
+    her ranking not yet taken. Guarantees, for every agent, original value of
+    the lifted bundle >= ordered value of the ordered bundle.
     """
     _check_fits(inst, ordered_alloc)
-    m = inst.m
-    holder = [0] * m
+    holder = [0] * inst.m
     for i, bundle in enumerate(ordered_alloc.bundles):
         for r in bundle:
             holder[r] = i
-    remaining = set(range(m))
+    # Taken items stay taken, so each agent's walk resumes where it stopped.
+    walks = [iter(v.ranked_items()) for v in inst.valuations]
+    taken: set[int] = set()
     lifted: list[list[int]] = [[] for _ in range(inst.n)]
-    for r in range(m):
-        i = holder[r]
-        vals = inst.valuations[i].item_values
-        pick = min(remaining, key=lambda j: (-vals[j], j))
-        remaining.remove(pick)
+    for i in holder:
+        pick = next(j for j in walks[i] if j not in taken)
+        taken.add(pick)
         lifted[i].append(pick)
     return Allocation(tuple(tuple(b) for b in lifted))

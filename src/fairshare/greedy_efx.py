@@ -153,5 +153,5 @@ def greedy_efx(inst: Instance) -> tuple[Allocation, list[dict]]:
 def greedy_efx_full(inst: Instance) -> Allocation:
     """Order the instance, run the greedy placement, and lift the result back
     to the original items. Equal entitlements only."""
-    ordered_alloc, _ = greedy_efx(ordered_version(inst).ordered_instance)
+    ordered_alloc, _ = greedy_efx(ordered_version(inst))
     return lift_allocation(inst, ordered_alloc)

@@ -272,21 +272,23 @@ def l_out_of_d_share_exact(valuation: Valuation, l: int, d: int) -> int:
 def pessimistic_share_exact(valuation: Valuation, b: Rat) -> int:
     """Best l-out-of-d guarantee with l/d <= b.
 
-    Unit-fraction entitlements reduce to MMS with 1/b parts. Otherwise d
-    ranges over 1..m (larger denominators cannot help for integer values),
-    and for each d only l = floor(b*d) matters since the objective is
-    non-decreasing in l. Each d runs the partition search seeded with the
-    best value so far, so it only explores what could beat it; one
-    `partition-nodes` guard spans the whole sweep.
+    l ranges over 1..floor(b*m) (more than m bundles only add empty ones),
+    and two facts leave one search per l at most. For a fixed l, fewer
+    bundles never hurt: merging the two largest bundles keeps the l smallest
+    or raises them. So only the least d = ceil(l/b) counts. A pair with
+    g = gcd(l, d) > 1 is dominated by (l/g)-out-of-(d/g): grouping the
+    sorted bundles round-robin into d/g groups of g, any l/g groups hold l
+    bundles, worth at least the l smallest. So only coprime pairs are
+    searched; a unit fraction b = 1/q searches l = 1, d = q alone, its MMS.
+    Each search is seeded with the best value so far, so it only explores
+    what could beat it; one `partition-nodes` guard spans the whole sweep.
     """
     b = check_entitlement(b)
-    if b.numerator == 1:
-        return mms_exact(valuation, b.denominator)
     counter = _NodeCounter("partition-nodes")
     best = 0
-    for d in range(1, valuation.m + 1):
-        l = math.floor(b * d)
-        if l >= 1:
+    for l in range(1, math.floor(b * valuation.m) + 1):
+        d = math.ceil(l / b)
+        if math.gcd(l, d) == 1:
             best = _partition_search(valuation.item_values, [1] * d, l, counter, best)
     return best
 
@@ -384,7 +386,7 @@ def check_price_certificate(cert: PriceCertificate, valuation: Valuation) -> boo
 
 def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bool:
     b = check_entitlement(b)
-    if not wit.sets or len(wit.sets) != len(wit.weights):
+    if len(wit.sets) != len(wit.weights):
         return False
     if any(w <= 0 for w in wit.weights):
         return False

@@ -17,6 +17,7 @@ from fairshare import (
     make_instance,
     worst_case_adversary,
 )
+from fairshare.bidding import _sweep
 
 
 def adversary_sweep_min(valuation: Valuation, b: Rat, make_strategy: Callable) -> int | None:
@@ -32,6 +33,18 @@ def adversary_sweep_min(valuation: Valuation, b: Rat, make_strategy: Callable) -
         if worst is None or got < worst:
             worst = got
     return worst
+
+
+def sweep_transcripts(valuation: Valuation, b: Rat, strategy):
+    """Yield `(wins, transcript)` once for every pattern of
+    `enumerate_win_patterns(valuation.m)`, as one prefix-tree sweep plays
+    them: `strategy` plays the no-concession line, and a pattern that
+    concedes a round bid at 0, or one past its line's last round, shares the
+    transcript of the line it folds into."""
+    for patterns, game in _sweep(valuation, b, strategy, enumerate_win_patterns(valuation.m)):
+        transcript = game.transcript()
+        for wins in patterns:
+            yield wins, transcript
 
 
 def rand_valuation(rng: random.Random, m_max: int = 8, vmax: int = 10, m_min: int = 1) -> Valuation:

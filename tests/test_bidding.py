@@ -23,7 +23,7 @@ from fairshare import (
     run_game,
     tps,
     worst_case_adversary,
-    worst_case_sweep,
+    worst_case_line,
 )
 from fairshare import test_z_good as z_goodness
 from fairshare.bidding import STRATEGIES, Strategy, _Aps35Strategy, _RankItemStrategy, _TpsStrategy
@@ -36,6 +36,7 @@ from helpers import (
     five_unit_instance,
     pair_sum_valuation,
     rand_valuation,
+    sweep_transcripts,
     unit_items,
 )
 
@@ -117,17 +118,33 @@ def test_overbudget_bid_is_flagged():
 
 
 def test_illegal_selection_falls_back_to_top_item():
-    class BadPick(Strategy):
+    # An empty selection, and one whose entries cannot even be hashed, are
+    # both flagged faults; neither may raise.
+    for picked in ((), [[0]]):
+
+        class BadPick(Strategy):
+            def bid(self, view):
+                return Rat(0)
+
+            def select(self, view):
+                return picked
+
+        inst = make_instance([[1, 5, 3]], [Rat(1)])
+        t = run_game(inst, [BadPick()])
+        assert "round 1: agent 0 selection fault" in t.flags, picked
+        assert t.rounds[0].taken == (1,)
+
+    # A round the coalition concedes checks the selection the same way.
+    class BadConceded(Strategy):
         def bid(self, view):
-            return Rat(0)
+            return min(Rat(1, 4), view.budget)
 
         def select(self, view):
-            return ()
+            return [[0]]
 
-    inst = make_instance([[1, 5, 3]], [Rat(1)])
-    t = run_game(inst, [BadPick()])
-    assert "round 1: agent 0 selection fault" in t.flags
-    assert t.rounds[0].taken == (1,)
+    t = worst_case_adversary(Valuation((1, 5, 3)), Rat(1, 2), BadConceded(), (1,))
+    assert t.flags == ("round 1: agent 0 selection fault",)
+    assert t.rounds[0] == RoundRecord((Rat(1, 4), Rat(0)), 0, (1,), Rat(1, 4))
 
 
 def test_run_game_rejects_wrong_strategy_count():
@@ -329,7 +346,7 @@ def test_sweep_matches_one_fresh_game_per_pattern():
         specs += [("lemma34", z), ("aps35", z), ("aps35-alt", z)]
         makers = [lambda name=name, z=z: STRATEGIES[name](v, b, z) for name, z in specs]
         for make in makers + [_FaultyDuelist]:
-            lines = list(worst_case_sweep(v, b, make()))
+            lines = list(sweep_transcripts(v, b, make()))
             assert sorted(wins for wins, _ in lines) == sorted(enumerate_win_patterns(v.m))
             for wins, t in lines:
                 assert t.to_json_dict() == worst_case_adversary(v, b, make(), wins).to_json_dict(), (v, b, wins)
@@ -354,6 +371,35 @@ def test_sweep_matches_one_fresh_game_per_pattern():
     }
 
 
+def test_worst_case_line_picks_the_first_lowest_pattern():
+    # The report of `game --adversary`: the first pattern, in list order,
+    # whose line ends lowest, that line's transcript, and how many patterns
+    # end on a feasible line. A list in any order, with repeats, is read in
+    # its own order; the default is every pattern of enumerate_win_patterns.
+    rng = random.Random(71)
+    ties = 0
+    for _ in range(30):
+        v = rand_valuation(rng, m_max=6, vmax=4)
+        den = rng.randint(2, 6)
+        b = Rat(rng.randint(1, den - 1), den)
+        z = rng.randint(1, max(1, v.total))
+        for name, target in (("tps", None), ("maxval", None), ("aps35", z)):
+            lines = dict(sweep_transcripts(v, b, STRATEGIES[name](v, b, target)))
+            every = enumerate_win_patterns(v.m)
+            for patterns in (None, every[::-1] + every[:2], [every[-1]]):
+                listed = every if patterns is None else patterns
+                ends = [v.value(lines[wins].allocation.bundles[0]) for wins in listed]
+                worst, t, feasible = worst_case_line(v, b, STRATEGIES[name](v, b, target), patterns)
+                assert worst == listed[ends.index(min(ends))]
+                assert t.to_json_dict() == lines[worst].to_json_dict()
+                assert feasible == sum(not lines[wins].infeasible for wins in listed)
+                ties += ends.count(min(ends)) > 1
+    assert ties > 0
+    for patterns in ([(), (0,)], []):
+        with pytest.raises(InputError):
+            worst_case_line(v, b, STRATEGIES["tps"](v, b, None), patterns)
+
+
 def test_sweep_transcripts_pin_the_tie_rules():
     # Values 0-3 make value ties and capped ties common, so the digest moves
     # if any strategy or the coalition breaks a tie other than "highest value
@@ -368,7 +414,7 @@ def test_sweep_transcripts_pin_the_tie_rules():
         specs = [("zero", None), ("tps", None), ("rank", None), ("maxval", None), ("maxval-tps", None)]
         specs += [("lemma34", z), ("aps35", z), ("aps35-alt", z)]
         for name, target in specs:
-            lines = dict(worst_case_sweep(v, b, STRATEGIES[name](v, b, target)))
+            lines = dict(sweep_transcripts(v, b, STRATEGIES[name](v, b, target)))
             for wins in enumerate_win_patterns(v.m):
                 digest.update(json.dumps(lines[wins].to_json_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == "4a74dbd78d494fa0e8809ff8d7ffd81ac9faf5b9c0960f89d23ec72c1dff5361"
@@ -390,7 +436,7 @@ def test_sweep_transcripts_pin_rational_targets():
         z = rng.randint(1, max(1, v.total))
         for target in (Rat(2, 5) * z, Rat(7, 3), Rat(z, 3)):
             for scale in (Rat(1), Rat(3, 4), Rat(5, 7)):
-                sweep = worst_case_sweep(v, b, STRATEGIES["lemma34"](v, b, target, scale=scale))
+                sweep = sweep_transcripts(v, b, STRATEGIES["lemma34"](v, b, target, scale=scale))
                 for wins, t in sorted(sweep):
                     digest.update(json.dumps([list(wins), t.to_json_dict()], sort_keys=True).encode())
                     lines += 1
@@ -474,7 +520,7 @@ def test_slotted_strategy_clones_independently():
     assert (strat.rounds, twin.rounds) == (2, 1)
     # The sweep clones it mid-game; every pattern still gets the transcript
     # of a fresh build playing it alone.
-    for wins, t in worst_case_sweep(v, Rat(2, 5), Slotted()):
+    for wins, t in sweep_transcripts(v, Rat(2, 5), Slotted()):
         assert t.to_json_dict() == worst_case_adversary(v, Rat(2, 5), Slotted(), wins).to_json_dict(), wins
 
 
@@ -716,7 +762,7 @@ def test_z_test_cuts_agree_with_full_sweeps():
             best = best_good_z(v, b)
             targets = {1, best - 1, best, best + 1, rng.randint(0, v.total), v.total, v.total + 1}
         for z in sorted(targets):
-            lines = worst_case_sweep(v, b, STRATEGIES["aps35"](v, b, z))
+            lines = sweep_transcripts(v, b, STRATEGIES["aps35"](v, b, z))
             full = all(5 * v.value(t.allocation.bundles[0]) >= 3 * z for _, t in lines)
             assert z_goodness(v, b, z) == full, (v, b, z)
             seen["good" if full else "bad"] += 1

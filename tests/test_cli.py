@@ -374,6 +374,8 @@ def test_verify_starved_agent(tmp_path, capsys):
         (["shares", "{inst}", "--agent", "5"], "agent: index 5 out of range"),
         (["game", "{inst}", "--focal", "5", "--adversary", "worst"], "focal: agent 5 out of range"),
         (["game", "{inst}", "--adversary", "best"], "adversary: expected 'worst' or 'pattern:K[,L]', got 'best'"),
+        (["shares", "{inst}", "--agent", "x"], "argument --agent: invalid agent index value: 'x'"),
+        (["game", "{inst}", "--focal", "x"], "argument --focal: invalid agent index value: 'x'"),
     ],
 )
 def test_input_error_texts(tmp_path, capsys, argv, message):
@@ -382,7 +384,16 @@ def test_input_error_texts(tmp_path, capsys, argv, message):
         "three": write(tmp_path, "three.json", [[0, 1], [2, 3], [4]]),
         "one": write(tmp_path, "one.json", [[0, 1, 2, 3, 4]]),
     }
-    code, out, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
+    try:
+        code, out, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
+    except SystemExit as exc:
+        # argparse refuses an option value itself: its usage text, then one
+        # line "fairshare <command>: error: <message>".
+        captured = capsys.readouterr()
+        usage, _, last = captured.err.rstrip("\n").rpartition("\n")
+        assert usage.startswith("usage: fairshare ")
+        assert last.startswith(f"fairshare {argv[0]}: ")
+        code, out, err = exc.code, captured.out or None, last.split(": ", 1)[1] + "\n"
     assert (code, out, err) == (2, None, f"error: {message}\n")
 
 
@@ -504,6 +515,53 @@ def test_game_transcript_path_it_cannot_write(tmp_path, capsys, mode):
         code, doc, err = run_cli(capsys, argv)
         assert (code, doc) == (2, None)
         assert err.startswith(f"error: {out}: ")
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--adversary", "worst"],
+        ["--adversary", "bogus"],
+        ["--focal", "0"],
+        ["--focal", "9"],
+        ["--strategies", "0=tps"],
+        ["--tie-break", "lowest"],
+        ["--transcript", "{out}"],
+    ],
+)
+def test_game_replay_refuses_the_other_options(tmp_path, capsys, option):
+    # A replay plays no strategy and writes nothing, so an option of the
+    # other modes is refused, naming it, rather than silently ignored.
+    units = write(tmp_path, "units.json", FIVE_UNITS)
+    played = str(tmp_path / "played.json")
+    assert run_cli(capsys, ["game", units, "--transcript", played])[0] == 0
+    out_path = tmp_path / "out.json"
+    argv = ["game", units, "--replay", played, *(arg.format(out=out_path) for arg in option)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, None, f"error: {option[0]}: not used with --replay\n")
+    assert not out_path.exists()
+
+
+def test_zero_item_instance_commands(tmp_path, capsys):
+    # An instance with no items is valid: every command that plays or
+    # solves it exits 0 with one JSON document.
+    empty = write(
+        tmp_path,
+        "empty.json",
+        {"agents": [{"entitlement": "2/5", "values": []}, {"entitlement": "3/5", "values": []}]},
+    )
+    for argv in (
+        ["shares", empty],
+        ["allocate", empty, "--method", "bidding"],
+        ["allocate", empty, "--method", "two-agent"],
+        ["game", empty, "--adversary", "worst"],
+    ):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        doc = json.loads(out)
+        assert json.dumps(doc, indent=2) + "\n" == out, argv
+    assert doc["min_value"] == 0 and doc["patterns_checked"] == 1
 
 
 def test_game_replay_rejects_foreign_transcript(tmp_path, capsys):

@@ -154,27 +154,28 @@ def test_guard_error_message_shape():
 def test_ordered_version_single_agent():
     inst = make_instance([[1, 3, 2]], [Rat(1)])
     red = ordered_version(inst)
-    assert red.ordered_instance.valuations[0].item_values == (3, 2, 1)
-    assert red.per_agent_permutation == ((1, 2, 0),)
-    assert is_ordered(red.ordered_instance)
+    assert red.valuations[0].item_values == (3, 2, 1)
+    # rank r of agent i is item ranked_items()[r] of her original row
+    assert tuple(tuple(v.ranked_items()) for v in inst.valuations) == ((1, 2, 0),)
+    assert is_ordered(red)
 
 
 def test_ordered_version_identity_on_sorted_input():
     inst = make_instance([[5, 4, 3]], [Rat(1)])
     red = ordered_version(inst)
-    assert red.per_agent_permutation == ((0, 1, 2),)
-    assert red.ordered_instance.valuations == inst.valuations
+    assert tuple(tuple(v.ranked_items()) for v in inst.valuations) == ((0, 1, 2),)
+    assert red.valuations == inst.valuations
 
 
 def test_ordered_version_independent_rows():
     inst = make_instance([[1, 3, 2], [2, 2, 1]], [Rat(1, 2), Rat(1, 2)])
     red = ordered_version(inst)
-    rows = [v.item_values for v in red.ordered_instance.valuations]
+    rows = [v.item_values for v in red.valuations]
     assert rows == [(3, 2, 1), (2, 2, 1)]
     # each ordered row is a permutation of the original multiset
     for i, v in enumerate(inst.valuations):
         assert sorted(rows[i]) == sorted(v.item_values)
-        assert sorted(red.per_agent_permutation[i]) == list(range(3))
+        assert sorted(v.ranked_items()) == list(range(3))
 
 
 def test_lift_identity_reduction():
@@ -193,6 +194,26 @@ def test_lift_single_rank_pick():
     assert inst.valuations[0].value(lifted.bundles[0]) == 3
 
 
+def test_lift_follows_the_choosing_sequence():
+    # At rank r the holder of ordered item r takes her highest-value
+    # remaining original item, ties to the lowest index.
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        m = rng.randint(0, 7)
+        inst = rand_instance(rng, n, m, vmax=4)
+        owners = [rng.randrange(n) for _ in range(m)]
+        ordered_alloc = Allocation(tuple(tuple(j for j in range(m) if owners[j] == i) for i in range(n)))
+        remaining = set(range(m))
+        expected: list[list[int]] = [[] for _ in range(n)]
+        for i in owners:
+            vals = inst.valuations[i].item_values
+            pick = min(remaining, key=lambda j: (-vals[j], j))
+            remaining.remove(pick)
+            expected[i].append(pick)
+        assert lift_allocation(inst, ordered_alloc) == Allocation(tuple(map(tuple, expected)))
+
+
 def test_lift_never_loses_value():
     rng = random.Random(11)
     for _ in range(60):
@@ -208,5 +229,5 @@ def test_lift_never_loses_value():
         lifted = lift_allocation(inst, ordered_alloc)
         for i in range(n):
             got = inst.valuations[i].value(lifted.bundles[i])
-            promised = red.ordered_instance.valuations[i].value(ordered_alloc.bundles[i])
+            promised = red.valuations[i].value(ordered_alloc.bundles[i])
             assert got >= promised

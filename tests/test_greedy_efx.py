@@ -97,9 +97,9 @@ def test_output_is_efx_on_randoms():
         m = rng.randint(1, 9)
         inst = rand_instance(rng, n, m, vmax=7, equal=True)
         red = ordered_version(inst)
-        alloc, trace = greedy_efx(red.ordered_instance)
+        alloc, trace = greedy_efx(red)
         assert alloc.is_full(m)
-        assert is_efx(red.ordered_instance, alloc)
+        assert is_efx(red, alloc)
         assert len(trace) == m
 
 
@@ -152,7 +152,7 @@ def test_rotations_recorded_in_trace():
         m = rng.randint(2, 8)
         inst = rand_instance(rng, n, m, vmax=5, equal=True)
         red = ordered_version(inst)
-        _, trace = greedy_efx(red.ordered_instance)
+        _, trace = greedy_efx(red)
         assert [entry["item"] for entry in trace] == list(range(m))
         for entry in trace:
             assert 0 <= entry["to"] < n

@@ -101,6 +101,15 @@ def test_pessimistic_values():
     assert pessimistic_share_exact(Valuation((5,)), Rat(1, 3)) == 0
 
 
+def test_pessimistic_share_at_a_unit_fraction_trips_its_own_guard(monkeypatch):
+    # b = 1/q searches 1-out-of-q, its MMS, as the first pair of the sweep,
+    # so it counts against `partition-nodes` like every other b.
+    monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", "10")
+    with pytest.raises(GuardError) as exc:
+        pessimistic_share_exact(Valuation(tuple(range(1, 13))), Rat(1, 3))
+    assert exc.value.guard == "partition-nodes"
+
+
 def test_wmms_values():
     # one item short of the agent count forces an empty bundle somewhere
     ents = [Rat(99, 100)] + [Rat(1, 10000)] * 100
@@ -157,6 +166,16 @@ def test_aps_zero_instances():
     assert res.value == 0
     assert check_price_certificate(res.certificate, Valuation((0, 0, 0)))
     assert check_bundle_witness(res.witness, Valuation((0, 0, 0)), Rat(1, 2))
+
+
+def test_aps_on_no_items():
+    # The one early return of `aps_exact`: nothing to price or pack.
+    empty = Valuation(())
+    for b in (Rat(1), Rat(2, 5), Rat(1, 7)):
+        res = aps_exact(empty, b)
+        assert res.value == 0
+        assert check_price_certificate(res.certificate, empty)
+        assert check_bundle_witness(res.witness, empty, b)
 
 
 def test_price_certificate_checker():
