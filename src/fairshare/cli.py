@@ -5,9 +5,12 @@ AnyPrice share), `allocate` produces and certifies an allocation, `verify`
 re-checks an allocation or price equilibrium, and `game` runs bidding games,
 worst-case adversary sweeps, and transcript replays.
 
-stdout carries exactly one JSON document per run; diagnostics go to stderr.
-Exit codes: 0 success, 1 a verified bound failed, 2 malformed input,
-3 a size guard tripped, 4 method/instance mismatch.
+Each subcommand maps the loaded instance and its arguments to one JSON
+document and a failure message or None. `main` alone loads the instance,
+writes stdout and stderr and picks the exit code: stdout carries exactly one
+JSON document per run, and diagnostics go to stderr. Exit codes: 0 success,
+1 a verified bound failed, 2 malformed input, 3 a size guard tripped,
+4 method/instance mismatch.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .bidding import (
@@ -22,7 +26,6 @@ from .bidding import (
     GameTranscript,
     avoided_agent,
     enumerate_win_patterns,
-    meta_strategy,
     replay_transcript,
     run_game,
     worst_case_line,
@@ -54,8 +57,8 @@ from .shares import (
 from .verify import BOUND_SETS, _check_ce_inputs, check_allocation, check_ce
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+class _Mismatch(Exception):
+    """The method does not apply to the instance (exit 4)."""
 
 
 def _read(path: str) -> str:
@@ -68,8 +71,12 @@ def _read(path: str) -> str:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _load_instance(path: str) -> Instance:
-    return parse_instance(_read(path))
+def _int_arg(text: str, message: str) -> int:
+    """`text` as an integer, or InputError(message)."""
+    try:
+        return _int_from_str(text)
+    except ValueError:
+        raise InputError(message) from None
 
 
 def _parse_tie_break(text: str, n: int):
@@ -77,10 +84,7 @@ def _parse_tie_break(text: str, n: int):
         return "lowest"
     if not text.startswith("avoid:"):
         raise InputError(f"tie-break: expected 'lowest' or 'avoid:I', got {text!r}")
-    try:
-        tie_break = ("avoid", _int_from_str(text.split(":", 1)[1]))
-    except ValueError:
-        raise InputError(f"tie-break: bad agent index in {text!r}") from None
+    tie_break = ("avoid", _int_arg(text.split(":", 1)[1], f"tie-break: bad agent index in {text!r}"))
     avoided_agent(tie_break, n)
     return tie_break
 
@@ -96,10 +100,7 @@ def _parse_strategy_specs(text: str | None, n: int) -> dict[int, tuple[str, int 
         if "=" not in part:
             raise InputError(f"strategies: expected I=name entries, got {part!r}")
         left, right = part.split("=", 1)
-        try:
-            agent = _int_from_str(left)
-        except ValueError:
-            raise InputError(f"strategies: bad agent index {left!r}") from None
+        agent = _int_arg(left, f"strategies: bad agent index {left!r}")
         if not (0 <= agent < n):
             raise InputError(f"strategies: agent {agent} out of range")
         if agent in specs:
@@ -108,10 +109,7 @@ def _parse_strategy_specs(text: str | None, n: int) -> dict[int, tuple[str, int 
         name = right
         if ":" in right:
             name, ztext = right.split(":", 1)
-            try:
-                z = _int_from_str(ztext)
-            except ValueError:
-                raise InputError(f"strategies: bad target {ztext!r} for agent {agent}") from None
+            z = _int_arg(ztext, f"strategies: bad target {ztext!r} for agent {agent}")
         if name not in STRATEGIES:
             raise InputError(
                 f"strategies: unknown strategy {name!r}, expected one of {', '.join(STRATEGIES)}"
@@ -155,8 +153,7 @@ def _agent_shares(inst: Instance, i: int, notions: list[str]) -> dict:
     }
 
 
-def cmd_shares(args) -> int:
-    inst = _load_instance(args.instance)
+def cmd_shares(inst: Instance, args) -> tuple[dict, str | None]:
     notions = [s.strip() for s in args.notions.split(",") if s.strip()]
     if not notions:
         raise InputError("notions: empty list")
@@ -169,30 +166,25 @@ def cmd_shares(args) -> int:
         indices = [args.agent]
     else:
         indices = list(range(inst.n))
-    _emit({"agents": [_agent_shares(inst, i, notions) for i in indices]})
-    return 0
+    return {"agents": [_agent_shares(inst, i, notions) for i in indices]}, None
 
 
-def cmd_allocate(args) -> int:
-    inst = _load_instance(args.instance)
+def cmd_allocate(inst: Instance, args) -> tuple[dict, str | None]:
     tie_break = _parse_tie_break(args.tie_break, inst.n)
     doc: dict = {"method": args.method}
     if args.method == "bidding":
-        strategies = [meta_strategy(inst.valuations[i], inst.entitlements[i]) for i in range(inst.n)]
-        transcript = run_game(inst, strategies, tie_break)
+        transcript = _play(inst, {}, tie_break)
         alloc = transcript.allocation
         report = check_allocation(inst, alloc, "arbitrary-entitlements")
         doc["transcript"] = transcript.to_json_dict()
     elif args.method == "greedy-efx":
         if not inst.equal_entitlements():
-            print("error: greedy-efx requires equal entitlements", file=sys.stderr)
-            return 4
+            raise _Mismatch("greedy-efx requires equal entitlements")
         alloc = greedy_efx_full(inst)
         report = check_allocation(inst, alloc, "equal-entitlements-gefx")
     else:
         if inst.n != 2:
-            print("error: two-agent allocation requires exactly 2 agents", file=sys.stderr)
-            return 4
+            raise _Mismatch("two-agent allocation requires exactly 2 agents")
         # Each APS is solved once and shared by the split and its check.
         solved = [aps_exact(v, b) for v, b in zip(inst.valuations, inst.entitlements)]
         alloc = two_agent_aps_allocation(
@@ -201,15 +193,10 @@ def cmd_allocate(args) -> int:
         report = check_allocation(inst, alloc, "two-agent-aps", solved)
     doc["allocation"] = [list(b) for b in alloc.bundles]
     doc["report"] = report.to_json_dict()
-    _emit(doc)
-    if not report.all_passed:
-        print("error: allocation failed its guarantee bounds", file=sys.stderr)
-        return 1
-    return 0
+    return doc, None if report.all_passed else "allocation failed its guarantee bounds"
 
 
-def cmd_verify(args) -> int:
-    inst = _load_instance(args.instance)
+def cmd_verify(inst: Instance, args) -> tuple[dict, str | None]:
     alloc = Allocation(_json_array_doc(_read(args.allocation), "allocation", _json_bundles))
     doc: dict = {"allocation": [list(b) for b in alloc.bundles]}
     failed = False
@@ -229,15 +216,10 @@ def cmd_verify(args) -> int:
         report = check_allocation(inst, alloc, bounds, solved)
         doc["bounds"] = report.to_json_dict()
         failed = failed or not report.all_passed
-    _emit(doc)
-    if failed:
-        print("error: verification failed", file=sys.stderr)
-        return 1
-    return 0
+    return doc, "verification failed" if failed else None
 
 
-def cmd_game(args) -> int:
-    inst = _load_instance(args.instance)
+def cmd_game(inst: Instance, args) -> tuple[dict, str | None]:
     if args.replay is not None:
         # A replay plays nothing, so the options of the other modes are refused.
         for option in ("adversary", "focal", "strategies", "tie_break", "transcript"):
@@ -245,8 +227,7 @@ def cmd_game(args) -> int:
                 raise InputError(f"--{option.replace('_', '-')}: not used with --replay")
         transcript = GameTranscript.from_json_dict(_json_doc(_read(args.replay), "transcript"))
         alloc = replay_transcript(inst, transcript)
-        _emit({"replay": "ok", "allocation": [list(b) for b in alloc.bundles]})
-        return 0
+        return {"replay": "ok", "allocation": [list(b) for b in alloc.bundles]}, None
     tie_break = _parse_tie_break("lowest" if args.tie_break is None else args.tie_break, inst.n)
     specs = _parse_strategy_specs(args.strategies, inst.n)
     if args.adversary is not None:
@@ -268,16 +249,21 @@ def cmd_game(args) -> int:
         else:
             doc.update(pattern=list(worst), infeasible=t.infeasible, value=value)
     else:
-        strategies = []
-        for i in range(inst.n):
-            name, z = specs.get(i, ("meta", None))
-            strategies.append(STRATEGIES[name](inst.valuations[i], inst.entitlements[i], z))
-        t = run_game(inst, strategies, tie_break)
+        if args.focal is not None:
+            raise InputError("--focal: not used without --adversary")
+        t = _play(inst, specs, tie_break)
         doc = {"allocation": [list(b) for b in t.allocation.bundles]}
     doc["transcript"] = t.to_json_dict()
     _write_transcript(args.transcript, t)
-    _emit(doc)
-    return 0
+    return doc, None
+
+
+def _play(inst: Instance, specs: dict[int, tuple[str, int | None]], tie_break) -> GameTranscript:
+    """One game, agent i playing `STRATEGIES[name](v_i, b_i, z)` for
+    `name, z = specs.get(i, ("meta", None))`: unlisted agents play `meta`."""
+    builds = (specs.get(i, ("meta", None)) for i in range(inst.n))
+    strategies = [STRATEGIES[name](v, b, z) for (name, z), v, b in zip(builds, inst.valuations, inst.entitlements)]
+    return run_game(inst, strategies, tie_break)
 
 
 def _parse_pattern(text: str, m: int) -> tuple[int, ...]:
@@ -285,10 +271,7 @@ def _parse_pattern(text: str, m: int) -> tuple[int, ...]:
     if not text.startswith("pattern:"):
         raise InputError(f"adversary: expected 'worst' or 'pattern:K[,L]', got {text!r}")
     body = text.split(":", 1)[1]
-    try:
-        wins = tuple(_int_from_str(x) for x in body.split(",")) if body else ()
-    except ValueError:
-        raise InputError(f"adversary: bad pattern {body!r}") from None
+    wins = tuple(_int_arg(x, f"adversary: bad pattern {body!r}") for x in body.split(",")) if body else ()
     if wins not in enumerate_win_patterns(m):
         raise InputError(f"adversary: expected at most two strictly increasing rounds within 1..{m}, got {body!r}")
     return wins
@@ -303,8 +286,8 @@ _agent_index.__name__ = "agent index"
 
 
 def _write_transcript(path: str | None, transcript: GameTranscript) -> None:
-    """Write the transcript to `path`, if given; called before `_emit`, so a
-    path that cannot be written leaves stdout empty."""
+    """Write the transcript to `path`, if given; called before `main` writes
+    the document, so a path that cannot be written leaves stdout empty."""
     if not path:
         return
     try:
@@ -360,16 +343,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        doc, failure = args.func(parse_instance(_read(args.instance)), args)
+    except (InputError, GuardError, _Mismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3 if isinstance(exc, GuardError) else 4
+    try:
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at the null device, so that the
+        # flush at interpreter exit finds nothing left to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if failure is None:
+        return 0
+    print(f"error: {failure}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

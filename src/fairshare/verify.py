@@ -15,9 +15,10 @@ from typing import Sequence
 from .core import Allocation, GuardError, InputError, Instance, Rat, _check_fits, rat_to_str
 from .shares import (
     ApsResult,
-    _max_affordable_value,
+    PriceCertificate,
     _rank_item_value,
     aps_exact,
+    check_price_certificate,
     pessimistic_share_exact,
     proportional_share,
     tps,
@@ -133,10 +134,11 @@ def check_ce(
     """Competitive equilibrium test: budget feasibility and demand optimality.
 
     Every item must be allocated once, every agent's bundle must cost at most
-    her entitlement, and no affordable bundle may beat her own. When the test
-    passes, every agent is guaranteed her full AnyPrice share, and this is
-    re-checked here (raising AssertionError, also under python -O). `solved`
-    is as for `check_allocation`.
+    her entitlement, and no affordable bundle may beat her own: the prices are
+    each agent's APS price certificate at her own bundle's value. When the
+    test passes, every agent is guaranteed her full AnyPrice share, and this
+    is re-checked here (raising AssertionError, also under python -O).
+    `solved` is as for `check_allocation`.
     """
     _check_ce_inputs(inst, alloc, prices)
     for i in range(inst.n):
@@ -145,7 +147,7 @@ def check_ce(
         cost = sum((prices[j] for j in alloc.bundles[i]), Rat(0))
         if cost > b:
             return False
-        if _max_affordable_value(v.item_values, prices, b) > v.value(alloc.bundles[i]):
+        if not check_price_certificate(PriceCertificate(prices, b, v.value(alloc.bundles[i])), v):
             return False
     for i in range(inst.n):
         got = inst.agent_value(i, alloc.bundles[i])

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -376,6 +380,8 @@ def test_verify_starved_agent(tmp_path, capsys):
         (["game", "{inst}", "--adversary", "best"], "adversary: expected 'worst' or 'pattern:K[,L]', got 'best'"),
         (["shares", "{inst}", "--agent", "x"], "argument --agent: invalid agent index value: 'x'"),
         (["game", "{inst}", "--focal", "x"], "argument --focal: invalid agent index value: 'x'"),
+        (["game", "{inst}", "--focal", "0"], "--focal: not used without --adversary"),
+        (["game", "{inst}", "--focal", "9", "--strategies", "0=tps"], "--focal: not used without --adversary"),
     ],
 )
 def test_input_error_texts(tmp_path, capsys, argv, message):
@@ -724,3 +730,33 @@ def test_bad_tie_break_is_input_error(tmp_path, capsys):
             code, doc, err = run_cli(capsys, command + ["--tie-break", text])
             assert (code, doc) == (2, None)
             assert "tie_break" in err and "0 <= i < 3" in err
+
+
+@pytest.mark.parametrize(
+    "command, alloc, code, err",
+    [
+        ("shares", None, 0, ""),
+        ("verify", [[0, 1, 2, 3, 4], []], 1, "error: verification failed\n"),
+    ],
+)
+def test_closed_stdout_exits_with_the_command_code(tmp_path, command, alloc, code, err):
+    # stdout is a pipe whose read end is closed before the process starts,
+    # so every write to it fails: the run still ends with its own exit code
+    # and its own diagnostics, without a traceback.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    instance = tmp_path / "instance.json"
+    instance.write_text(re.search(r"## Instance format\n+```json\n(.*?)```", readme, re.S).group(1), encoding="utf-8")
+    argv = [command, str(instance)] + ([write(tmp_path, "alloc.json", alloc)] if alloc else [])
+    env = {**os.environ, "PYTHONPATH": str(Path(fairshare.cli.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairshare.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
+        assert marker not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (code, err)
