@@ -40,7 +40,7 @@ from fairshare.lp import ColumnLP
 from fairshare.oracle import aps_brute
 from fairshare.shares import _max_affordable_value, _min_price_reaching
 
-from helpers import base_valuation, pair_sum_valuation, rand_entitlement, rand_valuation, unit_items
+from helpers import base_valuation, pair_sum_valuation, rand_entitlement, rand_entitlements, rand_valuation, unit_items
 
 
 def test_proportional_share_values():
@@ -301,6 +301,29 @@ def test_aps_values_digest_is_pinned():
         shares_seen.append(f"{v.item_values}@{b}:{aps_exact(v, b).value}")
     digest = hashlib.sha256("\n".join(shares_seen).encode()).hexdigest()
     assert digest == "4ff3d611e0257119462f8fcc43d134377e2261c71c8f12c6f01e459bf63e7b67"
+
+
+def test_partition_values_digest_is_pinned():
+    """MMS (k = 1-4), l-out-of-d, pessimistic (b with denominators 1-9) and
+    WMMS on 300 seeded draws (m <= 9, values 0-3, 0-6 and 0-1000), pinned as
+    one SHA-256 digest: a change to the partition search must return the same
+    share on every draw."""
+    rng = random.Random(1969)
+    shares_seen = []
+    for k in range(300):
+        v = rand_valuation(rng, m_max=9, vmax=(3, 6, 1000)[k % 3])
+        d = rng.randint(1, 5)
+        l = rng.randint(1, d)
+        b = rand_entitlement(rng, max_den=9)
+        ents = rand_entitlements(rng, rng.randint(1, 4))
+        i = rng.randrange(len(ents))
+        mms = [mms_exact(v, n) for n in range(1, 5)]
+        shares_seen.append(
+            f"{v.item_values}:{mms}:{l}/{d}={l_out_of_d_share_exact(v, l, d)}:"
+            f"{b}={pessimistic_share_exact(v, b)}:{ents}[{i}]={wmms_exact(ents, i, v)}"
+        )
+    digest = hashlib.sha256("\n".join(shares_seen).encode()).hexdigest()
+    assert digest == "6c19086265f20fe8ce84e105919921ad64041c08e2e956507601e4e040e74cf1"
 
 
 def _aps_work(v, b):
