@@ -157,9 +157,11 @@ def cmd_shares(inst: Instance, args) -> tuple[dict, str | None]:
     notions = [s.strip() for s in args.notions.split(",") if s.strip()]
     if not notions:
         raise InputError("notions: empty list")
-    for notion in notions:
+    for k, notion in enumerate(notions):
         if notion not in NOTIONS:
             raise InputError(f"notions: unknown notion {notion!r}, expected one of {', '.join(NOTIONS)}")
+        if notion in notions[:k]:
+            raise InputError(f"notions: {notion!r} given twice")
     if args.agent is not None:
         if not (0 <= args.agent < inst.n):
             raise InputError(f"agent: index {args.agent} out of range")

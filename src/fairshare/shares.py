@@ -168,10 +168,11 @@ def _partition_search(
     over assignments of the items to len(weights) bundles, or `best` if no
     assignment beats it.
 
-    Positive items are placed in descending order (Korf 2009). Bundles with
-    equal (W_k, v(A_k)) are interchangeable, so an item tries only one of
-    them and a state is expanded once (memo on the sorted bundle states);
-    the last item tries only a lowest bundle.
+    Positive items are placed in descending order, each trying the lowest
+    bundle first, so the first leaf is the LPT split (Graham 1969; Korf
+    2009). Bundles with equal (W_k, v(A_k)) are interchangeable, so an item
+    tries only one of them and a node, the sorted bundle states, is expanded
+    once (memo); the last item tries only a lowest bundle.
     An integer water-filling bound, the best objective if the remaining
     value could be split fractionally, prunes every state that cannot beat
     the incumbent; it is exact at the leaves. Callers pass unit weights
@@ -194,10 +195,10 @@ def _partition_search(
     kinds = len(distinct)
     scale = math.lcm(*distinct)
     rates = [scale // w for w in distinct]
-    steps = [w * kinds for w in weights]
+    steps = [w * kinds for w in distinct]
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
-    def ceiling(asc: list[int], pool: int) -> int:
+    def ceiling(asc: tuple[int, ...], pool: int) -> int:
         # Fill the lowest bundles to a common level with the pool; only the
         # final objective is floored.
         pool *= scale
@@ -217,34 +218,31 @@ def _partition_search(
             return take * (level * rate + pool) // rate
         return t * (level * rate + pool) // rate + sum(s // kinds for s in asc[t:take])
 
-    def dfs(idx: int, state: list[int], pool: int) -> None:
+    def dfs(idx: int, asc: tuple[int, ...], pool: int) -> None:
         nonlocal best
         counter.tick()
-        asc = sorted(state)
         bound = ceiling(asc, pool)
         if bound <= best:
             return
         if idx == len(items):
             best = bound
             return
-        key = (idx, tuple(asc))
-        if key in seen:
+        if (idx, asc) in seen:
             return
-        seen.add(key)
+        seen.add((idx, asc))
         x = items[idx]
-        tried: set[int] = set()
         # The last item goes to one lowest bundle only: for take = 1 any other
         # leaves the minimum as it is, and with unit weights the gain
         # min(x, s_(take+1) - s_j) is largest at the smallest s_j.
-        for i in range(k) if idx + 1 < len(items) else (state.index(asc[0]),):
-            if state[i] in tried:
-                continue
-            tried.add(state[i])
-            state[i] += steps[i] * x
-            dfs(idx + 1, state, pool - x)
-            state[i] -= steps[i] * x
+        for t in range(k if idx + 1 < len(items) else 1):
+            s = asc[t]
+            if t == 0 or s != asc[t - 1]:
+                child = list(asc)
+                child[t] = s + steps[s % kinds] * x
+                child.sort()
+                dfs(idx + 1, tuple(child), pool - x)
 
-    dfs(0, [distinct.index(w) for w in weights], sum(items))
+    dfs(0, tuple(sorted(distinct.index(w) for w in weights)), sum(items))
     return best
 
 

@@ -382,6 +382,7 @@ def test_verify_starved_agent(tmp_path, capsys):
         (["game", "{inst}", "--focal", "x"], "argument --focal: invalid agent index value: 'x'"),
         (["game", "{inst}", "--focal", "0"], "--focal: not used without --adversary"),
         (["game", "{inst}", "--focal", "9", "--strategies", "0=tps"], "--focal: not used without --adversary"),
+        (["shares", "{inst}", "--notions", "aps,mms,aps"], "notions: 'aps' given twice"),
     ],
 )
 def test_input_error_texts(tmp_path, capsys, argv, message):

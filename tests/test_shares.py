@@ -359,6 +359,32 @@ def test_aps_work_counts_are_pinned():
     assert _aps_work(pair_sum_valuation()[0], Rat(1, 3)) == {"lps": 2, "pivots": 91}
 
 
+def _partition_nodes(share, *args) -> int:
+    """Search nodes of one partition-share call, read off a recording
+    `_NodeCounter`."""
+    counters = []
+
+    class RecordingCounter(shares._NodeCounter):
+        def __init__(self, guard):
+            super().__init__(guard)
+            counters.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shares, "_NodeCounter", RecordingCounter)
+        share(*args)
+    return sum(c.used for c in counters)
+
+
+def test_partition_work_counts_are_pinned():
+    """The partition search is deterministic, so a change to its child order,
+    memo or bound shows up here as a changed node count."""
+    v = Valuation((3, 4, 5, 6, 7, 8, 3, 4, 5, 6))
+    assert _partition_nodes(pessimistic_share_exact, v, Rat(2, 5)) == 82
+    assert _partition_nodes(pessimistic_share_exact, v, Rat(3, 5)) == 52
+    assert _partition_nodes(mms_exact, base_valuation(), 2) == 7
+    assert _partition_nodes(mms_exact, base_valuation(), 3) == 8
+
+
 def test_aps_certificate_checks_survive_optimize_flag():
     """aps_exact re-checks its certificate and witness with real raises: a
     checker that rejects them must stop it in a `python -O` interpreter."""

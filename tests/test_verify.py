@@ -11,6 +11,7 @@ import pytest
 import fairshare
 from fairshare import (
     Allocation,
+    GuardError,
     InputError,
     Rat,
     Valuation,
@@ -20,6 +21,7 @@ from fairshare import (
     greedy_efx_full,
     make_instance,
     meta_strategy,
+    pessimistic_share_exact,
     run_game,
     tps,
     two_agent_aps_allocation,
@@ -103,13 +105,29 @@ def test_failing_allocation_is_reported():
 
 
 def test_pessimistic_share_excluded_when_guarded(monkeypatch):
-    monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", "100")
+    monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", "50")
     values = [3, 4, 5, 6, 7, 8, 3, 4, 5, 6]
     inst = make_instance([values, values], [Rat(2, 5), Rat(3, 5)])
     alloc = Allocation((tuple(range(5)), tuple(range(5, 10))))
     report = check_allocation(inst, alloc, "arbitrary-entitlements")
     assert report.agents[0].shares["pessimistic"] is None
     assert report.agents[0].shares["aps"] is not None
+
+
+def test_pessimistic_share_excluded_when_guarded_on_twelve_items(monkeypatch):
+    """Two more items than the instance above: at limit 100 the pessimistic
+    search of each agent still exceeds `partition-nodes` (148 and 146 nodes),
+    while APS, whose knapsack keeps at most v(M) + 1 = 67 states, solves."""
+    monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", "100")
+    values = [3, 4, 5, 6, 7, 8, 3, 4, 5, 6, 7, 8]
+    with pytest.raises(GuardError) as exc:
+        pessimistic_share_exact(Valuation(tuple(values)), Rat(2, 5))
+    assert exc.value.guard == "partition-nodes"
+    inst = make_instance([values, values], [Rat(2, 5), Rat(3, 5)])
+    alloc = Allocation((tuple(range(6)), tuple(range(6, 12))))
+    report = check_allocation(inst, alloc, "arbitrary-entitlements")
+    assert [a.shares["pessimistic"] for a in report.agents] == [None, None]
+    assert [a.shares["aps"] for a in report.agents] == [26, 39]
 
 
 def test_pessimistic_share_solves_under_the_default_guard():
