@@ -238,7 +238,9 @@ def cmd_game(inst: Instance, args) -> tuple[dict, str | None]:
             raise InputError(f"focal: agent {focal} out of range")
         v = inst.valuations[focal]
         b = inst.entitlements[focal]
-        name, z = specs.get(focal, ("meta", None))
+        name, z = specs.pop(focal, ("meta", None))
+        if specs:
+            raise InputError(f"--strategies: agent {next(iter(specs))} is not the focal agent")
         every = args.adversary == "worst"
         patterns = enumerate_win_patterns(inst.m) if every else [_parse_pattern(args.adversary, inst.m)]
         # One build plays every pattern, so meta's or aps35's simulation

@@ -175,17 +175,11 @@ def _partition_search(
     once (memo); the last item tries only a lowest bundle.
     An integer water-filling bound, the best objective if the remaining
     value could be split fractionally, prunes every state that cannot beat
-    the incumbent; it is exact at the leaves. Callers pass unit weights
-    whenever take > 1, which the bound and the all-bundles case assume.
+    the incumbent; it is exact at the leaves and assumes unit weights when
+    take > 1. A count caps it: r items left lift at most r bundles, so
+    `take` of the lowest r + take bundles keep their state.
     """
     items = sorted((x for x in values if x > 0), reverse=True)
-    # Bundles beyond the item count stay empty: they are the smallest values.
-    forced = max(len(weights) - len(items), 0)
-    if take <= forced:
-        return best
-    weights, take = weights[forced:], take - forced
-    if take == len(weights):
-        return max(best, sum(items))
     k = len(weights)
     # A bundle's state is one int, W_k * v(A_k) * kinds + the index of W_k among
     # the distinct weights, so states sort, hash and compare as plain ints
@@ -222,6 +216,9 @@ def _partition_search(
         nonlocal best
         counter.tick()
         bound = ceiling(asc, pool)
+        j = len(items) - idx + take - 1  # r + take - 1, with r items left
+        if j < k:
+            bound = min(bound, take * (asc[j] // kinds))
         if bound <= best:
             return
         if idx == len(items):

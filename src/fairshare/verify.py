@@ -4,7 +4,7 @@ Three bound sets are supported: the bidding-game guarantee for arbitrary
 entitlements (best of 3/5 APS, TPS/(2-b), and the entitlement-rank item),
 the greedy guarantee for equal entitlements (min of 3/4 APS and
 2n/(3n-1) TPS), and the full APS for two-agent splits. All comparisons are
-exact; decimal fields in the JSON are 6-digit renderings for humans only.
+exact; decimal fields in the JSON are for humans: 6 places, half to even.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ BOUND_SETS = ("arbitrary-entitlements", "equal-entitlements-gefx", "two-agent-ap
 
 
 def _decimal(x: Rat) -> str:
-    return f"{x.numerator / x.denominator:.6f}"
+    return "%d.%06d" % divmod(round(x * 10**6), 10**6)
 
 
 @dataclass(frozen=True)

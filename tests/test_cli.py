@@ -343,6 +343,35 @@ def test_verify_ce_checks_its_input_before_solving(tmp_path, capsys, monkeypatch
             assert (code, out, err.strip()) == (2, None, message), extra
 
 
+def test_decimal_fields_render_values_beyond_float_range(tmp_path, capsys):
+    # An item worth 10^309 overflows a float division; the six digits come
+    # from the exact rational, rounded half to even.
+    big = 10**309
+    doc = {
+        "agents": [
+            {"entitlement": "1/2", "values": [big, big, 1]},
+            {"entitlement": "1/2", "values": [1, 1, big]},
+        ]
+    }
+    inst_path = write(tmp_path, "inst.json", doc)
+    reports = []
+    for method in ("two-agent", "greedy-efx"):
+        code, out, err = run_cli(capsys, ["allocate", inst_path, "--method", method])
+        assert (code, err) == (0, "")
+        reports.append(out["report"])
+    alloc_path = write(tmp_path, "alloc.json", out["allocation"])
+    code, out, err = run_cli(capsys, ["verify", inst_path, alloc_path])
+    assert (code, err) == (0, "")
+    reports.append(out["bounds"])
+    for row in (row for report in reports for row in report["agents"]):
+        for field in ("threshold", "fraction"):
+            whole, part = row[f"{field}_decimal"].split(".")
+            assert len(part) == 6
+            assert Fraction(f"{whole}.{part}") == round(Fraction(row[field]), 6)
+    assert fairshare.verify._decimal(Fraction(5, 10**7)) == "0.000000"
+    assert fairshare.verify._decimal(Fraction(15, 10**7)) == "0.000002"
+
+
 def test_verify_corrupted_allocation(tmp_path, capsys):
     inst_path = write(tmp_path, "inst.json", BASE_EXAMPLE)
     alloc_path = write(tmp_path, "alloc.json", [[0, 0], [1, 2, 3, 4]])
@@ -383,6 +412,7 @@ def test_verify_starved_agent(tmp_path, capsys):
         (["game", "{inst}", "--focal", "0"], "--focal: not used without --adversary"),
         (["game", "{inst}", "--focal", "9", "--strategies", "0=tps"], "--focal: not used without --adversary"),
         (["shares", "{inst}", "--notions", "aps,mms,aps"], "notions: 'aps' given twice"),
+        (["game", "{inst}", "--adversary", "worst", "--strategies", "1=tps"], "--strategies: agent 1 is not the focal agent"),
     ],
 )
 def test_input_error_texts(tmp_path, capsys, argv, message):
@@ -518,7 +548,7 @@ def test_game_run_and_replay(tmp_path, capsys):
 def test_game_transcript_path_it_cannot_write(tmp_path, capsys, mode):
     units = write(tmp_path, "units.json", FIVE_UNITS)
     for out in (tmp_path / "missing" / "transcript.json", tmp_path):
-        argv = ["game", units, "--strategies", "0=tps,1=tps,2=tps", *mode, "--transcript", str(out)]
+        argv = ["game", units, "--strategies", "0=tps", *mode, "--transcript", str(out)]
         code, doc, err = run_cli(capsys, argv)
         assert (code, doc) == (2, None)
         assert err.startswith(f"error: {out}: ")

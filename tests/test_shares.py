@@ -110,6 +110,27 @@ def test_pessimistic_share_at_a_unit_fraction_trips_its_own_guard(monkeypatch):
     assert exc.value.guard == "partition-nodes"
 
 
+def test_partition_search_counts_the_items_left(monkeypatch):
+    """r items left raise at most r bundles, so the lowest r + 1 keep one as
+    it is. 8x16 agents 6 and 7 (b = 1/16, one 1-out-of-16 search over 16
+    positive items) get their smallest item at the first leaf, and the count
+    cuts every later state; the water-filling bound alone spent 53,204 and
+    over 10^6 nodes on them."""
+    monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", "1000")
+    rng = random.Random(2)
+    rows = [tuple(rng.randint(0, 1000) for _ in range(16)) for _ in range(8)]
+    assert [pessimistic_share_exact(Valuation(rows[i]), Rat(1, 16)) for i in (6, 7)] == [285, 170]
+    assert [min(rows[i]) for i in (6, 7)] == [285, 170]
+
+
+def test_partition_search_count_covers_every_take(monkeypatch):
+    """11 positive items in 15 bundles: `take` of the lowest 11 + take stay
+    empty, so 4-out-of-15 is 0 at the root, for take = 4 as for take = 1."""
+    monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", "10")
+    v = Valuation((571, 812, 675, 335, 0, 928, 680, 761, 0, 292, 45, 872, 254))
+    assert l_out_of_d_share_exact(v, 4, 15) == 0
+
+
 def test_wmms_values():
     # one item short of the agent count forces an empty bundle somewhere
     ents = [Rat(99, 100)] + [Rat(1, 10000)] * 100
@@ -379,7 +400,7 @@ def test_partition_work_counts_are_pinned():
     """The partition search is deterministic, so a change to its child order,
     memo or bound shows up here as a changed node count."""
     v = Valuation((3, 4, 5, 6, 7, 8, 3, 4, 5, 6))
-    assert _partition_nodes(pessimistic_share_exact, v, Rat(2, 5)) == 82
+    assert _partition_nodes(pessimistic_share_exact, v, Rat(2, 5)) == 81
     assert _partition_nodes(pessimistic_share_exact, v, Rat(3, 5)) == 52
     assert _partition_nodes(mms_exact, base_valuation(), 2) == 7
     assert _partition_nodes(mms_exact, base_valuation(), 3) == 8

@@ -116,7 +116,7 @@ def test_pessimistic_share_excluded_when_guarded(monkeypatch):
 
 def test_pessimistic_share_excluded_when_guarded_on_twelve_items(monkeypatch):
     """Two more items than the instance above: at limit 100 the pessimistic
-    search of each agent still exceeds `partition-nodes` (148 and 146 nodes),
+    search of each agent still exceeds `partition-nodes` (139 and 145 nodes),
     while APS, whose knapsack keeps at most v(M) + 1 = 67 states, solves."""
     monkeypatch.setenv("FAIRSHARE_GUARD_LIMIT", "100")
     values = [3, 4, 5, 6, 7, 8, 3, 4, 5, 6, 7, 8]
