@@ -28,6 +28,7 @@ from fairshare import (
 from fairshare import test_z_good as z_goodness
 from fairshare.bidding import STRATEGIES, Strategy, _Aps35Strategy, _RankItemStrategy, _TpsStrategy
 from fairshare.core import rat_to_str
+from fairshare.oracle import game_tree_oracle
 from fairshare.shares import aps_exact
 
 from helpers import (
@@ -35,6 +36,7 @@ from helpers import (
     base_valuation,
     five_unit_instance,
     pair_sum_valuation,
+    rand_instance,
     rand_valuation,
     sweep_transcripts,
     unit_items,
@@ -442,6 +444,34 @@ def test_sweep_transcripts_pin_rational_targets():
                     lines += 1
     assert lines == 4095
     assert digest.hexdigest() == "efc8a0d38df1dfd6381d68f3ba8bf4505d4ef2bbfddc5e01edeb8f442061a48a"
+
+
+def test_bidding_outputs_digest_is_pinned():
+    """Every built-in strategy on 300 seeded draws (m <= 6, values 0-3, 0-10
+    and 0-1000, b = p/q with q <= 7), pinned as one SHA-256 digest: the
+    worst line over every concession pattern, the game-tree value at m <= 5,
+    and a `run_game` transcript under each tie rule. The targeted strategies
+    play a seeded target; a change to a strategy's state must keep every
+    output."""
+    rng = random.Random(1971)
+    names = sorted(STRATEGIES)
+    digest = hashlib.sha256()
+    for k in range(300):
+        v = rand_valuation(rng, m_max=6, vmax=(3, 10, 1000)[k % 3])
+        den = rng.randint(1, 7)
+        b = Rat(rng.randint(1, den), den)
+        z = rng.randint(0, v.total + 1)
+        for name in names:
+            wins, t, feasible = worst_case_line(v, b, STRATEGIES[name](v, b, z))
+            oracle = game_tree_oracle(v, b, STRATEGIES[name](v, b, z)) if v.m <= 5 else None
+            digest.update(json.dumps([name, list(wins), t.to_json_dict(), feasible, oracle]).encode())
+        n = rng.randint(2, 3)
+        inst = rand_instance(rng, n, v.m, vmax=(3, 10, 1000)[k % 3])
+        for tie_break in ("lowest", ("avoid", 0)):
+            picks = [names[(k + i) % len(names)] for i in range(n)]
+            strategies = [STRATEGIES[name](inst.valuations[i], inst.entitlements[i], z) for i, name in enumerate(picks)]
+            digest.update(json.dumps([picks, run_game(inst, strategies, tie_break).to_json_dict()]).encode())
+    assert digest.hexdigest() == "04292a508afe49c015438aa0e16442cbd97ff62c3e6c6ebd62c7430643a4bc54"
 
 
 def test_engine_bid_checks_keep_their_outcomes():
