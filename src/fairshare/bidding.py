@@ -56,7 +56,7 @@ from .core import (
     check_entitlement,
     rat_to_str,
 )
-from .shares import _rank_item_value, tps
+from .shares import _kth_largest, tps
 
 # The zero bid; Fractions are immutable, so every zero bid can share it.
 _ZERO = Rat(0)
@@ -78,10 +78,11 @@ class Strategy:
     """Interface for bidding-game players.
 
     `bid` is called once per round; `select` only on the round's winner, with
-    `winning_bid` filled in. Implementations are deterministic. `clone` is a
-    shallow copy, so a strategy only rebinds its attributes, never mutating
-    a held list, dict or object in place, and clones share what it built
-    once; one that holds another strategy overrides `clone` to copy it too.
+    `winning_bid` filled in, so a call to `select` is how a strategy learns it
+    won. Implementations are deterministic. `clone` is a shallow copy, so a
+    strategy only rebinds its attributes, never mutating a held list, dict or
+    object in place, and clones share what it built once; one that holds
+    another strategy overrides `clone` to copy it too.
     A clone taken at any point, mid-game included, must continue exactly as
     the original would from there: the adversary sweep clones a strategy
     after its bid in a round and plays the clone on the branch where the
@@ -432,25 +433,16 @@ class _RankItemStrategy(_ZeroStrategy):
 
 class _RescueBidder(_ZeroStrategy):
     """Shared by the TPS and three-step bidders. Rule 1 bids for the top item
-    alone, rule 2 for the top two, the rescue pair; a win under either rule
-    retires the bidder. `bid` records its rule in `last_rule` (0 for none).
+    alone, rule 2 for the top two, the rescue pair; `select` retires the
+    bidder on a win under either rule. `bid` records its rule in `last_rule`,
+    clearing it first, so a retired bidder forced to win takes one item.
     """
 
     def __init__(self, valuation: Valuation) -> None:
         super().__init__(valuation)
         self.vals = valuation.item_values
         self.done = False
-        self.prev_bundle = 0
         self.last_rule = 0
-
-    def _retired(self, view: AgentView) -> bool:
-        """Start a bid: retire after a rule-1 or rule-2 win, clear the rule."""
-        won = len(view.bundle) > self.prev_bundle
-        self.prev_bundle = len(view.bundle)
-        if won and self.last_rule in (1, 2):
-            self.done = True
-        self.last_rule = 0
-        return self.done
 
     def _top_two(self, remaining) -> tuple[int, int]:
         """The two highest remaining values, 0 standing in for a missing one."""
@@ -458,7 +450,9 @@ class _RescueBidder(_ZeroStrategy):
         return top[0], top[1]
 
     def select(self, view: AgentView) -> tuple[int, ...]:
-        if self.last_rule == 2 and (view.winning_bid is None or view.winning_bid * 2 <= view.budget):
+        if self.last_rule in (1, 2):
+            self.done = True
+        if self.last_rule == 2 and view.winning_bid * 2 <= view.budget:
             return _first(self.ranking, view.remaining, 2)
         return super().select(view)
 
@@ -468,7 +462,8 @@ class _TpsStrategy(_RescueBidder):
     bundle worth at least TPS/(2-b) and retires after one satisfying win."""
 
     def bid(self, view: AgentView) -> Rat:
-        if self._retired(view):
+        self.last_rule = 0
+        if self.done:
             return _ZERO
         s = sum(self.vals[j] for j in view.remaining)
         bt, total = view.budget, view.total_budget
@@ -516,7 +511,6 @@ class _Lemma34Strategy(_BidMaxValue):
         # The values the current stage bids: capped, then re-truncated.
         self.table = self.capped
         self.done = False
-        self.last_sel: tuple[int, ...] = ()
 
     def bid(self, view: AgentView) -> Rat:
         if self.done:
@@ -530,7 +524,6 @@ class _Lemma34Strategy(_BidMaxValue):
         if self.stage == 1:
             if 2 * (self.capped[top] + u) >= self.twice_target:
                 self.prev_full_bid = True
-                self.last_sel = (top,)
                 return view.budget
             if self.prev_full_bid:
                 self.stage = 2
@@ -544,13 +537,7 @@ class _Lemma34Strategy(_BidMaxValue):
                 }
                 self.ranking = _ranking(self.table, view.remaining)
                 top = self.ranking[0]
-        self.last_sel = (top,)
         return self._slice(self.table[top], view)
-
-    def select(self, view: AgentView) -> tuple[int, ...]:
-        if self.last_sel and set(self.last_sel) <= set(view.remaining):
-            return self.last_sel
-        return super().select(view)
 
 
 class _Aps35Strategy(_RescueBidder):
@@ -594,7 +581,8 @@ class _Aps35Strategy(_RescueBidder):
     def bid(self, view: AgentView) -> Rat:
         if self.delegate is not None:
             return self.delegate.bid(view)
-        if self._retired(view):
+        self.last_rule = 0
+        if self.done:
             return _ZERO
         if self.target <= 0:
             return self._start_subgame(view)
@@ -761,17 +749,21 @@ def best_good_z(valuation: Valuation, b: Rat) -> int:
     return lo
 
 
+def _guarantee_terms(valuation: Valuation, b: Rat, x) -> tuple[Rat, Rat, int]:
+    """The bidding-game guarantee's three terms at target x: 3x/5, TPS/(2-b)
+    and the floor(1/b)-th largest item value (0 if absent)."""
+    rank = _kth_largest(valuation.item_values, math.floor(1 / Rat(b)))
+    return Rat(3, 5) * x, tps(valuation, b) / (2 - Rat(b)), rank
+
+
 def meta_guarantees(valuation: Valuation, b: Rat) -> tuple[int, dict[str, Rat]]:
     """Simulation-backed guarantee of each candidate strategy, plus the z the
     three-step strategy would target. The `aps35` entry, 3z/5 at
     `best_good_z`, is simulated against at most two concessions; a coalition
     conceding more rounds can hold the strategy below it when z > APS."""
     z = best_good_z(valuation, b)
-    return z, {
-        "aps35": Rat(3, 5) * z,
-        "tps": tps(valuation, b) / (2 - Rat(b)),
-        "rank": Rat(_rank_item_value(valuation.item_values, b)),
-    }
+    aps35, tps_floor, rank = _guarantee_terms(valuation, b, z)
+    return z, {"aps35": aps35, "tps": tps_floor, "rank": Rat(rank)}
 
 
 def meta_strategy(valuation: Valuation, b: Rat) -> Strategy:

@@ -163,9 +163,6 @@ class Valuation:
     def total(self) -> int:
         return sum(self.item_values)
 
-    def of(self, item: int) -> int:
-        return self.item_values[item]
-
     def value(self, items: Iterable[int]) -> int:
         vals = self.item_values
         return sum(vals[j] for j in items)
@@ -319,10 +316,6 @@ class Allocation:
 
     def allocated(self) -> set[int]:
         return {j for bundle in self.bundles for j in bundle}
-
-    def is_full(self, m: int) -> bool:
-        items = self.allocated()
-        return items == set(range(m))
 
     def require_full(self, m: int) -> None:
         items = self.allocated()

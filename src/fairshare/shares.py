@@ -100,12 +100,6 @@ def unit_demand_aps(item_values: Sequence[int], b: Rat) -> int:
     return _kth_largest(item_values, math.ceil(1 / check_entitlement(b)))
 
 
-def _rank_item_value(item_values: Sequence[int], b: Rat) -> int:
-    """The floor(1/b)-th largest item value, 0 if absent: what the rank bidder
-    secures, and the entitlement-rank term of the bidding-game guarantee."""
-    return _kth_largest(item_values, math.floor(1 / Rat(b)))
-
-
 # ---------------------------------------------------------------------------
 # Knapsack primitives shared by the APS machinery and the certificate checks.
 

@@ -1,10 +1,11 @@
 """Certification of allocations against per-agent guarantee bounds.
 
 Three bound sets are supported: the bidding-game guarantee for arbitrary
-entitlements (best of 3/5 APS, TPS/(2-b), and the entitlement-rank item),
-the greedy guarantee for equal entitlements (min of 3/4 APS and
-2n/(3n-1) TPS), and the full APS for two-agent splits. All comparisons are
-exact; decimal fields in the JSON are for humans: 6 places, half to even.
+entitlements (best of 3/5 APS, TPS/(2-b) and the entitlement-rank item, the
+terms `bidding._guarantee_terms` defines), the greedy guarantee for equal
+entitlements (min of 3/4 APS and 2n/(3n-1) TPS), and the full APS for
+two-agent splits. All comparisons are exact; decimal fields in the JSON are
+for humans: 6 places, half to even.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .bidding import _guarantee_terms
 from .core import Allocation, GuardError, InputError, Instance, Rat, _check_fits, rat_to_str
 from .shares import (
     ApsResult,
     PriceCertificate,
-    _rank_item_value,
     aps_exact,
     check_price_certificate,
     pessimistic_share_exact,
@@ -114,9 +115,9 @@ def check_allocation(
         except GuardError:
             shares["pessimistic"] = None
         if bounds == "arbitrary-entitlements":
-            rank = _rank_item_value(v.item_values, b)
-            shares["rank"] = rank
-            threshold = max(Rat(3, 5) * aps, t / (2 - b), Rat(rank))
+            terms = _guarantee_terms(v, b, aps)
+            shares["rank"] = terms[2]
+            threshold = Rat(max(terms))
         elif bounds == "equal-entitlements-gefx":
             threshold = min(Rat(3, 4) * aps, Rat(2 * inst.n, 3 * inst.n - 1) * t)
         else:

@@ -227,7 +227,7 @@ def test_criterion_11_two_agent_share_allocations():
         b1 = Rat(rng.randint(1, den - 1), den)
         b2 = 1 - b1
         alloc = two_agent_aps_allocation(v1, v2, b1, b2)
-        assert alloc.is_full(m)
+        assert alloc.allocated() == set(range(m))
         assert v1.value(alloc.bundles[0]) >= aps_exact(v1, b1).value
         assert v2.value(alloc.bundles[1]) >= aps_exact(v2, b2).value
 

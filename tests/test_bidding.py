@@ -513,16 +513,18 @@ def test_strategy_clone_is_independent():
     twin = strat.clone()
     inst = make_instance([list(v.item_values)], [Rat(1)])
     run_game(inst, [strat])
-    assert strat.prev_bundle > 0
-    assert twin.prev_bundle == 0
+    assert strat.done
+    assert not twin.done
     # At z = 6 no rescue pair reaches 18/5, so the first bid enters the
-    # sub-game; the twin must get its own sub-game bidder.
-    strat = STRATEGIES["aps35"](v, Rat(2, 5), 6)
-    strat.bid(AgentView(1, tuple(range(v.m)), Rat(2, 5), Rat(1), ()))
+    # sub-game; the twin must get its own sub-game bidder. On the (1, 2)
+    # line the sub-game bidder bids its whole budget in rounds 3 and 4, then
+    # enters stage 2 and finishes in round 5.
+    strat = STRATEGIES["aps35"](v, Rat(1, 2), 6)
+    strat.bid(AgentView(1, tuple(range(v.m)), Rat(1, 2), Rat(1), ()))
     twin = strat.clone()
     before = dict(vars(twin.delegate))
-    worst_case_adversary(v, Rat(2, 5), strat, (2, 3))
-    assert vars(strat.delegate) != before
+    worst_case_adversary(v, Rat(1, 2), strat, (1, 2))
+    assert (strat.delegate.prev_full_bid, strat.delegate.stage, strat.delegate.done) == (True, 2, True)
     assert vars(twin.delegate) == before
 
 
@@ -738,6 +740,28 @@ def test_two_stage_bidder_picks_by_ranking_after_retiring():
     assert all(r.winner == 0 for r in t.rounds)
     assert not t.flags
 
+
+def test_retired_bidders_take_their_top_item_on_a_forced_win():
+    # A rescue-pair win retires the TPS and three-step bidders. Forced to win
+    # the later rounds at bid 0 (all bids 0, lowest index), each takes its
+    # one top remaining item, not a second pair, and stays retired.
+    inst = make_instance([[3, 3, 1, 2, 1, 1], [1] * 6], [Rat(1, 2), Rat(1, 2)])
+    zero = STRATEGIES["zero"](inst.valuations[1], Rat(1, 2), None)
+    for name, z in (("tps", None), ("aps35", 8)):
+        strat = STRATEGIES[name](inst.valuations[0], Rat(1, 2), z)
+        t = run_game(inst, [strat, zero])
+        assert [r.taken for r in t.rounds] == [(0, 1), (3,), (2,), (4,), (5,)], name
+        assert all(r.winner == 0 and r.bids == (0, 0) for r in t.rounds[1:]), name
+        assert strat.done and not t.flags, name
+    # Two capped wins reach the 3z/2 target at z = 2, so the two-stage bidder
+    # finishes; forced to win, it takes its top remaining capped item, 3,
+    # before item 4, whose plain value is higher but whose capped value ties.
+    inst = make_instance([[1, 2, 2, 5, 9], [1] * 5], [Rat(1, 2), Rat(1, 2)])
+    strat = STRATEGIES["lemma34"](inst.valuations[0], Rat(1, 2), 2)
+    t = run_game(inst, [strat, zero])
+    assert [r.taken for r in t.rounds] == [(1,), (2,), (3,), (4,), (0,)]
+    assert all(r.winner == 0 and r.bids == (0, 0) for r in t.rounds[2:])
+    assert strat.done and not t.flags
 
 def test_two_stage_bidder_on_worthless_items():
     v = Valuation((0, 0))

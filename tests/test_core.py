@@ -48,7 +48,7 @@ def test_valuation_basics():
     v = Valuation((2, 1, 1, 1, 0))
     assert v.m == 5
     assert v.total == 5
-    assert v.of(0) == 2
+    assert v.item_values[0] == 2
     assert v.value([0, 4]) == 2
     assert v.ranked_items() == [0, 1, 2, 3, 4]
 
@@ -130,8 +130,6 @@ def test_allocation_sorts_and_validates():
     alloc = Allocation(((2, 0), (1,)))
     assert alloc.bundles == ((0, 2), (1,))
     assert alloc.allocated() == {0, 1, 2}
-    assert alloc.is_full(3)
-    assert not alloc.is_full(4)
     alloc.require_full(3)
     with pytest.raises(InputError):
         alloc.require_full(4)

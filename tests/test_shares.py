@@ -259,7 +259,7 @@ def test_certificate_checkers_reject_each_broken_condition(breaks):
 def test_pair_instance_shares(pair_aps):
     v, pairs, rows = pair_sum_valuation()
     assert v.total == 291
-    assert all(sum(v.of(j) for j in row) == 97 for row in rows)
+    assert all(sum(v.item_values[j] for j in row) == 97 for row in rows)
     assert pair_aps.value == 97
     assert check_price_certificate(pair_aps.certificate, v)
     assert check_bundle_witness(pair_aps.witness, v, Rat(1, 3))
@@ -520,7 +520,7 @@ def test_aps_at_one_half_matches_two_part_mms_random():
 def test_two_agent_split_symmetric():
     v = Valuation((1, 1))
     alloc = two_agent_aps_allocation(v, v, Rat(1, 2), Rat(1, 2))
-    assert alloc.is_full(2)
+    assert alloc.allocated() == set(range(2))
     assert all(len(b) == 1 for b in alloc.bundles)
 
 
@@ -528,7 +528,7 @@ def test_two_agent_split_base_example():
     v = base_valuation()
     assert aps_exact(v, Rat(3, 5)).value == 3
     alloc = two_agent_aps_allocation(v, v, Rat(2, 5), Rat(3, 5))
-    assert alloc.is_full(5)
+    assert alloc.allocated() == set(range(5))
     assert v.value(alloc.bundles[0]) >= 2
     assert v.value(alloc.bundles[1]) >= 3
 
@@ -536,7 +536,7 @@ def test_two_agent_split_base_example():
 def test_two_agent_split_single_item():
     v = Valuation((9,))
     alloc = two_agent_aps_allocation(v, v, Rat(1, 2), Rat(1, 2))
-    assert alloc.is_full(1)
+    assert alloc.allocated() == set(range(1))
 
 
 def test_two_agent_split_rejects_bad_entitlements():
