@@ -763,6 +763,7 @@ def test_retired_bidders_take_their_top_item_on_a_forced_win():
     assert all(r.winner == 0 and r.bids == (0, 0) for r in t.rounds[2:])
     assert strat.done and not t.flags
 
+
 def test_two_stage_bidder_on_worthless_items():
     v = Valuation((0, 0))
     t = worst_case_adversary(v, Rat(1, 2), STRATEGIES["lemma34"](v, Rat(1, 2), 0), ())
