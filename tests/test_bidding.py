@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import random
@@ -476,7 +477,8 @@ def test_bidding_outputs_digest_is_pinned():
 
 def test_engine_bid_checks_keep_their_outcomes():
     # An exact Rat just over the budget is a fault, however small the excess;
-    # int bids in range are accepted as Rat, and bool bids are faults.
+    # int bids in range are accepted as Rat, and bool bids are faults; a bid
+    # of a Rat subclass comes back as a plain Rat.
     class Fixed(Strategy):
         def __init__(self, raw):
             self.raw = raw
@@ -487,6 +489,9 @@ def test_engine_bid_checks_keep_their_outcomes():
         def select(self, view):
             return (view.remaining[0],)
 
+    class SubRat(Rat):
+        pass
+
     inst = make_instance([[2, 1], [2, 1]], [Rat(1, 2), Rat(1, 2)])
     cases = [
         (lambda view: view.budget + Rat(1, 10**9), True),
@@ -495,6 +500,7 @@ def test_engine_bid_checks_keep_their_outcomes():
         (1, True),
         (True, True),
         (False, True),
+        (SubRat(1, 4), False),
     ]
     for raw, fault in cases:
         t = run_game(inst, [Fixed(raw), STRATEGIES["zero"](inst.valuations[1], Rat(1, 2), None)])
@@ -505,6 +511,46 @@ def test_engine_bid_checks_keep_their_outcomes():
     t = run_game(make_instance([[2]], [Rat(1)]), [Fixed(1)])
     assert not t.flags
     assert t.rounds[0].bids == (Rat(1),) and type(t.rounds[0].bids[0]) is Rat
+
+
+def test_engine_selection_checks_keep_their_outcomes():
+    # Agent 0 bids 1/4 of her 1/2 in round 1 and wins every round, the ties
+    # at 0 included. A pick is kept, sorted, when it is a non-empty list or
+    # tuple of distinct remaining items given as ints (an IntEnum is one, a
+    # bool is not) whose price fits the budget; anything else is a fault,
+    # and the round takes the winner's top item instead.
+    class Index(enum.IntEnum):
+        TWO = 2
+
+    class Picker(Strategy):
+        def __init__(self, picks):
+            self.picks = picks
+
+        def bid(self, view):
+            return min(Rat(1, 4), view.budget)
+
+        def select(self, view):
+            return self.picks.get(view.round_no, (view.remaining[0],))
+
+    inst = make_instance([[1, 5, 3, 2], [1, 1, 1, 1]], [Rat(1, 2), Rat(1, 2)])
+    cases = [
+        ({1: [2]}, 1, False, (2,)),
+        ({1: (Index.TWO,)}, 1, False, (2,)),
+        ({1: (True,)}, 1, True, (1,)),
+        ({1: (2, 2)}, 1, True, (1,)),
+        ({1: (2,), 2: (2,)}, 2, True, (1,)),
+        ({1: (0, 2, 3)}, 1, True, (1,)),
+        ({1: (3, 0)}, 1, False, (0, 3)),
+        ({1: (2, 0)}, 1, False, (0, 2)),
+        ({1: {2}}, 1, True, (1,)),
+        ({1: (4,)}, 1, True, (1,)),
+        ({1: (-1,)}, 1, True, (1,)),
+    ]
+    for picks, r, fault, taken in cases:
+        t = run_game(inst, [Picker(picks), STRATEGIES["zero"](inst.valuations[1], Rat(1, 2), None)])
+        assert (f"round {r}: agent 0 selection fault" in t.flags) == fault, picks
+        assert t.rounds[r - 1].taken == taken, picks
+        assert t.rounds[r - 1].payment == Rat(len(taken), 4), picks
 
 
 def test_strategy_clone_is_independent():
@@ -829,6 +875,45 @@ def test_best_z_values():
     assert best_good_z(v, Rat(2, 5)) >= 2
     assert best_good_z(Valuation((0, 0)), Rat(1, 2)) == 0
     assert best_good_z(Valuation((1, 1)), Rat(1, 2)) >= 1
+
+
+def _frontier_row(seed: int, n: int, m: int) -> Valuation:
+    """Agent 0 of a frontier instance: values 0-1000 from random.Random(seed),
+    drawn row by row for n agents and m items."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(0, 1000) for _ in range(m)] for _ in range(n)]
+    return Valuation(tuple(rows[0]))
+
+
+def test_meta_worst_line_on_the_8x16_frontier():
+    # Past the m <= 6 digests: the worst line `game --adversary worst` reports
+    # for meta on 8x16 agent 0 at b = 1/4, where meta plays the three-step
+    # bidder at z = 3183.
+    v = _frontier_row(2, 8, 16)
+    b = Rat(1, 4)
+    wins, t, feasible = worst_case_line(v, b, STRATEGIES["meta"](v, b, None))
+    assert (wins, v.value(t.allocation.bundles[0]), feasible) == ((2, 3), 1910, 16)
+    digest = hashlib.sha256(json.dumps(t.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "972cbf79d660f7360cb3826896e231b9a5e17dddc2a8f4e4df94d421082644fc"
+
+
+def test_three_step_line_on_the_4x20_frontier():
+    # Four concessions on 4x20 agent 0 at b = 2/5 exhaust the coalition; the
+    # forced concessions still leave the three-step bidder below 3z/5.
+    v = _frontier_row(3, 4, 20)
+    t = worst_case_adversary(v, Rat(2, 5), _Aps35Strategy(v, Rat(2, 5), 6163), (1, 2, 5, 6))
+    assert v.value(t.allocation.bundles[0]) == 3348
+    assert t.infeasible
+
+
+def test_best_z_above_what_the_game_tree_holds():
+    # ROADMAP item 5's known defect, pinned as today's behaviour: the sweep
+    # of at most two concessions passes z = 12 with APS 8, but the full game
+    # tree holds the three-step bidder at z = 12 to 7, below 3z/5 = 36/5.
+    v = Valuation((3, 2, 2, 2, 1, 2))
+    b = Rat(2, 3)
+    assert best_good_z(v, b) == 12
+    assert game_tree_oracle(v, b, STRATEGIES["aps35"](v, b, 12)) == 7
 
 
 def test_meta_guarantees_prefers_tps_on_heavy_entitlement():
