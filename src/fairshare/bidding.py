@@ -10,7 +10,9 @@ One engine applies every round: `run_game` plays strategies through it,
 `replay_transcript` re-applies the recorded rounds once each has passed its
 checks, and the adversary plays a focal agent against the pooled coalition
 as the second agent of the same game. It keeps money as integers over a
-common denominator; strategies see `Rat` budgets. One driver, `_sweep`,
+common denominator; strategies see `Rat` budgets. It keeps each round as a
+plain tuple; rounds become `RoundRecord`s only when a transcript is asked
+for, so the lines a sweep compares or discards build none. One driver, `_sweep`,
 plays the adversary over a list of concession patterns as one prefix tree,
 forking a line where its patterns disagree on a round. Through it
 `worst_case_line` picks the worst line of any list of patterns, which the
@@ -115,7 +117,13 @@ def _copy(obj):
 def _first(ranking: Sequence[int], remaining: Sequence[int], count: int = 1) -> tuple[int, ...]:
     """The first `count` items of `ranking` still in `remaining`."""
     left = set(remaining)
-    return tuple(j for j in ranking if j in left)[:count]
+    found = []
+    for j in ranking:
+        if j in left:
+            found.append(j)
+            if len(found) == count:
+                break
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,10 @@ class _Game:
     budgets, items or bundles, applies a round's outcome. `cash` holds each
     budget and, last, their total, as integers over `den`, which grows
     whenever a payment's denominator does not divide it; views show them as
-    `Rat`s, each built once per payment that changes it."""
+    `Rat`s, each built once per payment that changes it. A round is kept as
+    a plain (bids, winner, taken, payment) tuple and becomes a `RoundRecord`
+    only when `transcript` is asked for, so a line that a z-test discards
+    builds none."""
 
     def __init__(self, budgets: Sequence[Rat], valuations: Sequence[Valuation]) -> None:
         self.den = math.lcm(*(x.denominator for x in budgets))
@@ -192,9 +203,9 @@ class _Game:
         self.cash.append(sum(self.cash))
         self.shown: list[Rat | None] = list(budgets) + [None]
         self.rankings = [v.ranked_items() for v in valuations]
-        self.remaining = list(range(valuations[0].m))
-        self.bundles: list[list[int]] = [[] for _ in budgets]
-        self.rounds: list[RoundRecord] = []
+        self.remaining = tuple(range(valuations[0].m))
+        self.bundles: list[tuple[int, ...]] = [() for _ in budgets]
+        self.rounds: list[tuple[tuple[Rat, ...], int, tuple[int, ...], Rat]] = []
         self.flags: list[str] = []
         self.round_no = 1
 
@@ -210,12 +221,22 @@ class _Game:
 
     def fits(self, i: int, x: Rat, k: int = 1) -> bool:
         """0 <= k * x <= agent i's budget."""
-        return x.numerator >= 0 and x.numerator * k * self.den <= self.cash[i] * x.denominator
+        num = x.numerator
+        return num >= 0 and num * k * self.den <= self.cash[i] * x.denominator
 
     def _view(self, i: int, winning_bid: Rat | None = None) -> AgentView:
-        return AgentView(
-            self.round_no, tuple(self.remaining), self.budget(i), self.budget(-1), tuple(self.bundles[i]), winning_bid
+        # The frozen constructor sets each field through object.__setattr__;
+        # filling the new instance's dict gives the same view at half the cost.
+        view = object.__new__(AgentView)
+        view.__dict__.update(
+            round_no=self.round_no,
+            remaining=self.remaining,
+            budget=self.budget(i),
+            total_budget=self.budget(-1),
+            bundle=self.bundles[i],
+            winning_bid=winning_bid,
         )
+        return view
 
     def top(self, i: int) -> tuple[int, ...]:
         """Agent i's highest-value remaining item."""
@@ -236,17 +257,22 @@ class _Game:
         """The winner's items, sorted; an illegal selection is flagged and
         becomes her single highest-value item."""
         taken = strategy.select(self._view(i, bid))
-        if (
-            isinstance(taken, (tuple, list))
-            and taken
-            and all(isinstance(j, int) and not isinstance(j, bool) for j in taken)
-            and len(set(taken)) == len(taken)
-            and set(taken) <= set(self.remaining)
-            and self.fits(i, bid, len(taken))
-        ):
+        if self._legal(i, bid, taken):
             return tuple(sorted(taken))
         self.flags.append(f"round {self.round_no}: agent {i} selection fault")
         return self.top(i)
+
+    def _legal(self, i: int, bid: Rat, taken) -> bool:
+        """`taken` is a non-empty list or tuple of distinct remaining items,
+        ints but not bools, that agent i can pay `bid` apiece for. The
+        cheapest checks come first; the item checks precede the distinctness
+        set, which an unhashable item would make raise."""
+        if not (isinstance(taken, (tuple, list)) and taken and self.fits(i, bid, len(taken))):
+            return False
+        for j in taken:
+            if isinstance(j, bool) or not isinstance(j, int) or j not in self.remaining:
+                return False
+        return len(taken) == 1 or len(set(taken)) == len(taken)
 
     def settle(self, bids: tuple[Rat, ...], winner: int, taken: tuple[int, ...]) -> None:
         """The winner pays her bid per item taken and the items leave play."""
@@ -262,26 +288,30 @@ class _Game:
             self.cash[winner] -= units
             self.cash[-1] -= units
             self.shown[winner] = self.shown[-1] = None
-        self.bundles[winner].extend(taken)
-        gone = set(taken)
-        self.remaining = [j for j in self.remaining if j not in gone]
-        self.rounds.append(RoundRecord(bids, winner, taken, payment))
+        self.bundles[winner] += taken
+        # A new tuple, since forks share `remaining`; most rounds take one item.
+        rest = self.remaining
+        for j in taken:
+            k = rest.index(j)
+            rest = rest[:k] + rest[k + 1 :]
+        self.remaining = rest
+        self.rounds.append((bids, winner, taken, payment))
         self.round_no += 1
 
     def fork(self) -> "_Game":
-        """An independent copy of the play so far; only the values are shared,
-        and `remaining`, which `settle` replaces rather than changes."""
+        """An independent copy of the play so far; it shares the values and the
+        tuples of items, which `settle` replaces rather than changes."""
         twin = _copy(self)
         twin.cash = self.cash[:]
         twin.shown = self.shown[:]
-        twin.bundles = [bundle[:] for bundle in self.bundles]
+        twin.bundles = self.bundles[:]
         twin.rounds = self.rounds[:]
         twin.flags = self.flags[:]
         return twin
 
     def transcript(self) -> GameTranscript:
-        allocation = Allocation(tuple(tuple(b) for b in self.bundles))
-        return GameTranscript(tuple(self.rounds), allocation, tuple(self.flags))
+        allocation = Allocation(tuple(self.bundles))
+        return GameTranscript(tuple(RoundRecord(*r) for r in self.rounds), allocation, tuple(self.flags))
 
 
 def avoided_agent(tie_break, n: int) -> int | None:
@@ -313,7 +343,7 @@ def run_game(
         bids = tuple(game.bid(i, s) for i, s in enumerate(strategies))
         winner = _pick_winner(bids, avoid)
         game.settle(bids, winner, game.select(winner, strategies[winner], bids[winner]))
-    paid = sum((r.payment for r in game.rounds), Rat(0))
+    paid = sum((payment for _, _, _, payment in game.rounds), Rat(0))
     if sum((game.budget(i) for i in range(inst.n)), Rat(0)) + paid != 1:
         raise AssertionError("budget conservation violated")
     return game.transcript()
@@ -347,9 +377,10 @@ def replay_transcript(inst: Instance, transcript: GameTranscript) -> Allocation:
             raise InputError(f"{where}.payment: {rat_to_str(r.payment)} != {rat_to_str(expect)}")
         if not game.fits(r.winner, expect):
             raise InputError(f"{where}.payment: exceeds winner budget")
-        game.settle(r.bids, r.winner, r.taken)
+        # A hand-built record may hold a list; the game keeps tuples.
+        game.settle(r.bids, r.winner, tuple(r.taken))
     if game.remaining:
-        raise InputError(f"transcript: items {game.remaining} never allocated")
+        raise InputError(f"transcript: items {list(game.remaining)} never allocated")
     final = game.transcript().allocation
     if final != transcript.allocation:
         raise InputError("transcript: allocation does not match the replayed rounds")
@@ -626,7 +657,8 @@ def _coalition_round(game: _Game, strategy: Strategy, bid: Rat, concede: bool) -
     if not concede and not game.fits(1, bid):
         game.flags.append(f"infeasible: coalition cannot outbid {rat_to_str(bid)} at round {game.round_no}")
         concede = True
-    if concede and bid > 0:
+    # A checked bid is never negative.
+    if concede and bid:
         game.settle((bid, _ZERO), 0, game.select(0, strategy, bid))
     else:
         # reached with bid <= the coalition's budget, or with bid == 0 on a
@@ -720,14 +752,15 @@ def test_z_good(valuation: Valuation, b: Rat, z: int) -> bool:
     if z <= 0:
         return True
 
-    def short(items) -> bool:
-        return 5 * valuation.value(items) < 3 * z
+    def short(value: int) -> bool:
+        return 5 * value < 3 * z
 
     def decided(game: _Game) -> bool:
-        return not short(game.bundles[0]) or short(game.bundles[0] + game.remaining)
+        got = valuation.value(game.bundles[0])
+        return not short(got) or short(got + valuation.value(game.remaining))
 
     lines = _sweep(valuation, b, _Aps35Strategy(valuation, b, z), enumerate_win_patterns(valuation.m), decided)
-    return not any(short(game.bundles[0]) for _, game in lines)
+    return not any(short(valuation.value(game.bundles[0])) for _, game in lines)
 
 
 def best_good_z(valuation: Valuation, b: Rat) -> int:

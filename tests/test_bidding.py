@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 import json
@@ -174,6 +175,9 @@ def test_transcript_json_round_trip():
     assert back.allocation == t.allocation
     assert back.flags == t.flags
     assert replay_transcript(inst, back) == t.allocation
+    # Rounds built by hand may hold lists; replay reads them the same.
+    listed = tuple(RoundRecord(list(r.bids), r.winner, list(r.taken), r.payment) for r in t.rounds)
+    assert replay_transcript(inst, GameTranscript(listed, t.allocation, t.flags)) == t.allocation
 
 
 def test_replay_rejects_tampering():
@@ -628,6 +632,11 @@ def test_engine_money_is_exact_across_new_denominators():
     assert [r.payment for r in t.rounds] == [Rat(1, 3), Rat(2, 25), 0, Rat(13, 150), 0]
     assert [r.taken for r in t.rounds] == [(0,), (1, 2), (3,), (4,), (5,)]
     for view in strat.views:
+        # The engine's views are the constructor's, immutable and hashable.
+        fields = (view.round_no, view.remaining, view.budget, view.total_budget, view.bundle, view.winning_bid)
+        assert type(view) is AgentView and view == AgentView(*fields) and hash(view) == hash(AgentView(*fields))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.budget = Rat(1)
         before = t.rounds[: view.round_no - 1]
         assert type(view.budget) is Rat and type(view.total_budget) is Rat
         assert view.budget == Rat(1, 2) - sum(r.payment for r in before if r.winner == 0)

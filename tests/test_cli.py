@@ -15,7 +15,7 @@ import fairshare.bidding
 import fairshare.cli
 import fairshare.shares
 import fairshare.verify
-from fairshare.bidding import GameTranscript, Strategy, _Game, enumerate_win_patterns, worst_case_adversary
+from fairshare.bidding import GameTranscript, RoundRecord, Strategy, _Game, enumerate_win_patterns, worst_case_adversary
 from fairshare.cli import STRATEGIES, main
 from fairshare.core import InputError, guard_limit, parse_instance
 
@@ -681,7 +681,9 @@ def test_game_worst_sweep_work_counts(tmp_path, capsys, monkeypatch):
     # 1 instead settles 69 rounds with 16 clones on the first instance. On
     # the second, meta's z search also stops each line once its outcome is
     # decided; playing those lines in full settles 112 rounds with 25 clones.
-    counts = {"settle": 0, "clone": 0}
+    # A settled round becomes a RoundRecord only in the one transcript the
+    # command reports, so the lines the z search discards build none.
+    counts = {"settle": 0, "clone": 0, "record": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -692,6 +694,7 @@ def test_game_worst_sweep_work_counts(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(_Game, "settle", counting("settle", _Game.settle))
     monkeypatch.setattr(Strategy, "clone", counting("clone", Strategy.clone))
+    monkeypatch.setattr(RoundRecord, "__init__", counting("record", RoundRecord.__init__))
     six = {
         "agents": [
             {"entitlement": "2/5", "values": [5, 4, 4, 3, 1, 1]},
@@ -699,14 +702,15 @@ def test_game_worst_sweep_work_counts(tmp_path, capsys, monkeypatch):
         ]
     }
     cases = [
-        (write(tmp_path, "base.json", BASE_EXAMPLE), "0=aps35:2", {"settle": 14, "clone": 3}),
-        (write(tmp_path, "six.json", six), "0=meta", {"settle": 48, "clone": 18}),
+        (write(tmp_path, "base.json", BASE_EXAMPLE), "0=aps35:2", {"settle": 14, "clone": 3, "record": 4}),
+        (write(tmp_path, "six.json", six), "0=meta", {"settle": 48, "clone": 18, "record": 6}),
     ]
     for path, spec, expected in cases:
-        counts.update(settle=0, clone=0)
-        code, _, _ = run_cli(capsys, ["game", path, "--adversary", "worst", "--strategies", spec])
+        counts.update(settle=0, clone=0, record=0)
+        code, doc, _ = run_cli(capsys, ["game", path, "--adversary", "worst", "--strategies", spec])
         assert code == 0
         assert counts == expected, spec
+        assert counts["record"] == len(doc["transcript"]["rounds"]), spec
 
 
 def test_game_strategy_spec_errors(tmp_path, capsys):
