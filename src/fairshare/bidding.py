@@ -289,7 +289,7 @@ class _Game:
             self.cash[-1] -= units
             self.shown[winner] = self.shown[-1] = None
         self.bundles[winner] += taken
-        # A new tuple, since forks share `remaining`; most rounds take one item.
+        # Most rounds take one item, so no set of them is built.
         rest = self.remaining
         for j in taken:
             k = rest.index(j)
