@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import random
@@ -322,6 +323,31 @@ def test_aps_values_digest_is_pinned():
         shares_seen.append(f"{v.item_values}@{b}:{aps_exact(v, b).value}")
     digest = hashlib.sha256("\n".join(shares_seen).encode()).hexdigest()
     assert digest == "4ff3d611e0257119462f8fcc43d134377e2261c71c8f12c6f01e459bf63e7b67"
+
+
+def test_aps_certificates_digest_is_pinned():
+    """Value, price certificate and bundle witness of every solve, pinned as
+    one SHA-256 digest: the 200 draws of the values digest, then 200 draws
+    shaped like the shares-large benchmark (m 6-7, values 0-1000, b = 1/n
+    or a weight 1-5 over n = 2-3 weights). A faster oracle or descent must
+    return the same columns, prices and witness on every draw."""
+    rng = random.Random(19)
+    draws = []
+    for k in range(200):
+        v = rand_valuation(rng, m_max=8, vmax=6 if k % 2 else 1000)
+        draws.append((v, rand_entitlement(rng, max_den=7)))
+    rng = random.Random(1003)
+    for k in range(200):
+        v = rand_valuation(rng, m_min=6, m_max=7, vmax=1000)
+        n = rng.randint(2, 3)
+        draws.append((v, Rat(1, n) if k % 2 else rng.choice(rand_entitlements(rng, n))))
+    lines = []
+    for v, b in draws:
+        res = aps_exact(v, b)
+        doc = {"value": res.value, "certificate": res.certificate.to_json_dict(), "witness": res.witness.to_json_dict()}
+        lines.append(f"{v.item_values}@{b}:{json.dumps(doc, sort_keys=True)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "037b29d60cdaa92c122a7bc1044db099f4b7b78238bf7641a5f81c0d3635732c"
 
 
 def test_partition_values_digest_is_pinned():
