@@ -104,21 +104,31 @@ def unit_demand_aps(item_values: Sequence[int], b: Rat) -> int:
 # Knapsack primitives shared by the APS machinery and the certificate checks.
 
 
-def _subset_states(values: Sequence[int], costs: Sequence[int], cap: int) -> dict[int, tuple[int, int, int]]:
+def _subset_states(
+    values: Sequence[int], costs: Sequence[int], cap: int, budget: int
+) -> dict[int, tuple[int, int, int]]:
     """0/1 DP over the positive-value items keeping reachable states only (Toth
     1980): states[k] = (cost, value, mask) of the cheapest subset of value k,
-    or of value >= cap at k = cap, ties to the lower value. Costs are ints, in
-    whatever unit the caller scaled the prices to. The state count is
-    guarded; it is at most min(2^m, cap + 1) at any value scale."""
+    or of value >= cap at k = cap, ties to the lower value, among the subsets
+    that cost at most `budget`. Costs are non-negative ints, in whatever unit
+    the caller scaled the prices to, so a state above the budget only gets
+    dearer and is never kept (Beier & Voecking 2003); every state within it
+    is the one the unbudgeted DP keeps. The state count is guarded by
+    `knapsack-value`; it is at most min(2^m, cap + 1) at any value scale and
+    never more than the unbudgeted DP's, so the guard trips no more often."""
+    if budget < 0:
+        return {}
     limit = guard_limit()
     states = {0: (0, 0, 0)}
     for j, v in enumerate(values):
-        if v <= 0:
-            continue
         p = costs[j]
+        if v <= 0 or p > budget:
+            continue
         bit = 1 << j
         for cost, worth, mask in list(states.values()):
             cost += p
+            if cost > budget:
+                continue
             worth += v
             key = worth if worth < cap else cap
             old = states.get(key)
@@ -130,25 +140,34 @@ def _subset_states(values: Sequence[int], costs: Sequence[int], cap: int) -> dic
 
 
 def _min_price_reaching(
-    values: Sequence[int], costs: Sequence[int], target: int
+    values: Sequence[int], costs: Sequence[int], target: int, bound: int
 ) -> tuple[int, frozenset[int], int] | None:
     """Cheapest subset with value >= target, as (cost, subset, value), or
-    None if no subset reaches it. Ties go to the lowest value."""
+    None if none reaches it at a cost below `bound`. Ties go to the lowest
+    value."""
     if target <= 0:
-        return 0, frozenset(), 0
+        return (0, frozenset(), 0) if bound > 0 else None
     if target > sum(values):
         return None
-    cost, worth, mask = _subset_states(values, costs, target)[target]
+    state = _subset_states(values, costs, target, bound - 1).get(target)
+    if state is None:
+        return None
+    cost, worth, mask = state
     return cost, frozenset(j for j in range(len(values)) if mask >> j & 1), worth
 
 
 def _max_affordable_value(values: Sequence[int], prices: Sequence[Rat], budget: Rat) -> int:
-    """Highest subset value purchasable within the budget."""
+    """Highest subset value purchasable within the budget: the budgeted DP on
+    the non-negative prices scaled to ints, at the budget floor(budget * scale)."""
     scale = math.lcm(*(prices[j].denominator for j in range(len(values)) if values[j] > 0))
     costs = [p.numerator * (scale // p.denominator) if v > 0 else 0 for p, v in zip(prices, values)]
-    afford = math.floor(budget * scale)
-    states = _subset_states(values, costs, sum(values))
-    return max((worth for cost, worth, _ in states.values() if cost <= afford), default=0)
+    return _max_worth(values, costs, math.floor(budget * scale))
+
+
+def _max_worth(values: Sequence[int], costs: Sequence[int], budget: int) -> int:
+    """Highest subset value at integer costs within an integer budget."""
+    states = _subset_states(values, costs, sum(values), budget)
+    return max((worth for _, worth, _ in states.values()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +398,13 @@ def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bo
         return False
     if any(w <= 0 for w in wit.weights):
         return False
-    if sum(wit.weights, Rat(0)) != 1:
+    # The weights and b as ints over their common denominator.
+    scale = math.lcm(b.denominator, *(w.denominator for w in wit.weights))
+    units = [w.numerator * (scale // w.denominator) for w in wit.weights]
+    if sum(units) != scale:
         return False
-    coverage = [Rat(0)] * valuation.m
-    for s, w in zip(wit.sets, wit.weights):
+    coverage = [0] * valuation.m
+    for s, w in zip(wit.sets, units):
         if len(set(s)) != len(s):
             return False
         if any(not (0 <= j < valuation.m) for j in s):
@@ -391,7 +413,8 @@ def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bo
             return False
         for j in s:
             coverage[j] += w
-    return all(c <= b for c in coverage)
+    cap = b.numerator * (scale // b.denominator)
+    return all(c <= cap for c in coverage)
 
 
 def _threshold_price_lp(
@@ -405,9 +428,10 @@ def _threshold_price_lp(
     maximizing b * sum(lam). `lp` is that packing (unit costs, so the prices
     are b times its duals) over the bundles `cols`, each worth at least t. It
     resumes from its current basis, and `_min_price_reaching` (the state DP
-    capped at t, on the LP's integer duals) adds the cheapest bundle of
-    value >= t, lowest value first among the cheapest, to both while one has
-    duals summing below 1.
+    capped at t, on the LP's integer duals, keeping only the states that cost
+    below det: a dearer column is rejected anyway) adds the cheapest bundle
+    of value >= t, lowest value first among the cheapest, to both while one
+    has duals summing below 1.
 
     The answer is read off `lp`. False is exact: opt = b * lp.value < 1, and
     the prices b * lp.duals(), padded to sum exactly 1, leave every bundle of
@@ -421,8 +445,8 @@ def _threshold_price_lp(
         lp.solve()
         if b.numerator * lp.scaled_value >= b.denominator * lp.det:
             return True
-        sep = _min_price_reaching(values, lp.scaled_duals(), t)
-        if sep is None or sep[0] >= lp.det:
+        sep = _min_price_reaching(values, lp.scaled_duals(), t, lp.det)
+        if sep is None:
             return False
         cols.append(sep[1])
         lp.add_column(1, [1 if j in sep[1] else 0 for j in range(len(values))])
@@ -436,21 +460,27 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     parametric step of Dinkelbach 1967). It starts at t = floor(tps) + 1,
     which no packing reaches since APS <= TPS. While the LP at t has
     opt < 1, its prices b * duals, padded to sum exactly 1, prove APS <= u,
-    the best value affordable at b under them, and u < t; t drops to u. The
+    the best value affordable at b under them, and u < t; t drops to u. With
+    b = p/q, the LP's integer duals and value give these prices as integer
+    costs over the scale q * det * m, at which the budget is p * det * m, so
+    each step runs the DP on ints and builds no Fraction. The
     descent stops at t = 0 or at the first t whose LP packing reaches 1,
     which proves APS >= t, so APS = t. An all-zero valuation descends from
     t = 1 to 0 under uniform prices.
 
     Thresholds only fall, so a bundle found at one is a valid column at
     every later one: the whole call warm-starts one `ColumnLP`. The
-    certificate is the padded prices of the last LP with opt < 1, which
-    leave nothing above the share affordable. The witness is the LP's primal
+    certificate is the padded prices of the last LP with opt < 1, built as
+    Rats once the descent stops, which leave nothing above the share
+    affordable. The witness is the LP's primal
     packing at the threshold that stopped the descent, normalised to weights
     summing to 1: every bundle is worth at least the share and each item is
     covered at most b. Both are re-checked with `check_price_certificate`
     and `check_bundle_witness`, which raise AssertionError (also under -O)
-    instead of returning a wrong share. Both oracles run `_subset_states`:
-    at most min(2^m, v(M) + 1) states at any value scale.
+    instead of returning a wrong share. Both oracles run `_subset_states`,
+    which keeps only the states within their budget: at most
+    min(2^m, v(M) + 1) states at any value scale, and `knapsack-value` counts
+    no more of them than an unbudgeted DP would.
     """
     b = check_entitlement(b)
     m = valuation.m
@@ -460,19 +490,23 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
 
     lp = ColumnLP([1] * m)
     cols: list[frozenset[int]] = []
+    p, q = b.numerator, b.denominator
     t = math.floor(tps(valuation, b)) + 1
-    prices = None
+    costs = scale = None
     while t > 0 and not _threshold_price_lp(values, b, t, lp, cols):
-        pad = (1 - b * lp.value) / m
-        prices = tuple(b * y + pad for y in lp.duals())
-        u = _max_affordable_value(values, prices, b)
+        # The padded prices b * y + (1 - b * value) / m over the scale
+        # q * det * m, at which the budget b is p * det * m.
+        pad = q * lp.det - p * lp.scaled_value
+        costs = [p * m * y + pad for y in lp.scaled_duals()]
+        scale = q * lp.det * m
+        u = _max_worth(values, costs, p * lp.det * m)
         if u >= t:
             raise AssertionError(f"APS search: {u} is affordable under prices that exclude every bundle worth {t}")
         t = u
-    if prices is None:
+    if costs is None:
         raise AssertionError(f"APS search: threshold {t} is reachable, so {t - 1} is not the share")
     aps = t
-    cert = PriceCertificate(prices, b, aps)
+    cert = PriceCertificate(tuple(Rat(c, scale) for c in costs), b, aps)
     if aps == 0:
         wit = BundleWitness(((),), (Rat(1),), 0)
     else:

@@ -374,10 +374,12 @@ def test_partition_values_digest_is_pinned():
 
 
 def _aps_work(v, b):
-    """Threshold LPs and simplex pivots of one aps_exact call, counted by
-    wrapping the LP entry points; a pivot is a write to the basis."""
-    counts = {"lps": 0, "pivots": 0}
-    threshold_lp, solve = shares._threshold_price_lp, ColumnLP.solve
+    """Threshold LPs, simplex pivots and knapsack states of one aps_exact
+    call, its certificate checks included, counted by wrapping the LP entry
+    points and the DP; a pivot is a write to the basis, and `states` sums the
+    states each DP run keeps."""
+    counts = {"lps": 0, "pivots": 0, "states": 0}
+    threshold_lp, solve, subset_states = shares._threshold_price_lp, ColumnLP.solve, shares._subset_states
 
     class CountingBasis(list):
         def __setitem__(self, i, var):
@@ -392,18 +394,25 @@ def _aps_work(v, b):
         lp.basis = CountingBasis(lp.basis)
         solve(lp)
 
+    def counted_states(*args):
+        states = subset_states(*args)
+        counts["states"] += len(states)
+        return states
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shares, "_threshold_price_lp", counted_lp)
         mp.setattr(ColumnLP, "solve", counted_solve)
+        mp.setattr(shares, "_subset_states", counted_states)
         aps_exact(v, b)
     return counts
 
 
 def test_aps_work_counts_are_pinned():
     """The APS work is deterministic, so a change to the descent, the column
-    search or the pivot rule shows up here as a changed count."""
-    assert _aps_work(base_valuation(), Rat(2, 5)) == {"lps": 2, "pivots": 8}
-    assert _aps_work(pair_sum_valuation()[0], Rat(1, 3)) == {"lps": 2, "pivots": 91}
+    search, the pivot rule or the DP's pruning shows up here as a changed
+    count. Without the budget the DP kept 44 and 3,866 states."""
+    assert _aps_work(base_valuation(), Rat(2, 5)) == {"lps": 2, "pivots": 8, "states": 37}
+    assert _aps_work(pair_sum_valuation()[0], Rat(1, 3)) == {"lps": 2, "pivots": 91, "states": 3466}
 
 
 def _partition_nodes(share, *args) -> int:
@@ -468,7 +477,7 @@ def test_subset_state_oracles_match_enumeration():
             subsets += [(s + (j,), p + prices[j], v + values[j]) for s, p, v in subsets]
         total = sum(values)
         for t in (0, total, total + 1, rng.randint(1, max(total, 1)), rng.choice(subsets)[2]):
-            got = _min_price_reaching(values, prices, t)
+            got = _min_price_reaching(values, prices, t, sum(prices) + 1)
             reaching = [(p, v) for _, p, v in subsets if v >= t]
             if not reaching:
                 assert got is None
@@ -480,6 +489,46 @@ def test_subset_state_oracles_match_enumeration():
         budget = Rat(rng.randint(0, 20), rng.randint(1, 9))
         best = max(v for _, p, v in subsets if p <= budget)
         assert _max_affordable_value(values, prices, budget) == best
+
+
+def test_budgeted_oracles_match_enumeration_on_ties():
+    """Both oracles prune the DP at their budget. On small values and costs,
+    where many subsets tie, with zero-value items, zero prices, budget 0 and
+    budgets at or above the total cost: a bundle that costs exactly the
+    budget is affordable, and the separation bundle below a bound is the
+    unbounded one when that costs less than the bound, None when it costs
+    exactly the bound."""
+    rng = random.Random(2003)
+    for _ in range(300):
+        m = rng.randint(1, 8)
+        values = [rng.randint(0, 3) for _ in range(m)]
+        costs = [rng.randint(0, 3) for _ in range(m)]
+        den = rng.randint(1, 3)
+        prices = [Rat(c, den) for c in costs]
+        subsets = [((), 0, 0)]
+        for j in range(m):
+            subsets += [(s + (j,), c + costs[j], v + values[j]) for s, c, v in subsets]
+        total_cost = sum(costs)
+        exact = rng.choice(subsets)
+        for spend in (0, exact[1], rng.randint(0, total_cost), total_cost, total_cost + 1):
+            best = max(v for _, c, v in subsets if c <= spend)
+            got = _max_affordable_value(values, prices, Rat(spend, den))
+            assert got == best
+            if spend == exact[1]:
+                assert got >= exact[2]
+        total = sum(values)
+        for t in (0, 1, total, total + 1, rng.randint(1, max(total, 1)), exact[2]):
+            reaching = [(c, v) for _, c, v in subsets if v >= t]
+            unbounded = _min_price_reaching(values, costs, t, total_cost + 1)
+            if not reaching:
+                assert unbounded is None
+                continue
+            cost, bundle, worth = unbounded
+            assert (cost, worth) == min(reaching)
+            assert sum(costs[j] for j in bundle) == cost and sum(values[j] for j in bundle) == worth
+            for bound in (0, cost, cost + 1, rng.randint(0, total_cost + 1), total_cost + 1):
+                expected = unbounded if cost < bound else None
+                assert _min_price_reaching(values, costs, t, bound) == expected
 
 
 @pytest.mark.parametrize(
