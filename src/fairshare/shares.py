@@ -494,8 +494,6 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     t = math.floor(tps(valuation, b)) + 1
     costs = scale = None
     while t > 0 and not _threshold_price_lp(values, b, t, lp, cols):
-        # The padded prices b * y + (1 - b * value) / m over the scale
-        # q * det * m, at which the budget b is p * det * m.
         pad = q * lp.det - p * lp.scaled_value
         costs = [p * m * y + pad for y in lp.scaled_duals()]
         scale = q * lp.det * m
