@@ -211,6 +211,70 @@ def test_price_certificate_checker():
     assert not check_price_certificate(PriceCertificate((Rat(1, 2),) * 5, Rat(2, 5), 5), v)
 
 
+def _best_affordable_in_fractions(v, prices, budget) -> int | None:
+    """The price-certificate check in exact Fraction arithmetic over every
+    subset: None unless the prices match the items, are non-negative and sum
+    to at most 1, else the best value of a subset whose price sum is within
+    the budget. Nothing is affordable at a negative budget, which counts as a
+    best value of 0. A certificate checks exactly when this is not None and
+    at most its bound."""
+    if len(prices) != v.m or any(p < 0 for p in prices) or sum(prices, Fraction(0)) > 1:
+        return None
+    best = 0
+    for mask in range(1 << v.m):
+        items = [j for j in range(v.m) if mask >> j & 1]
+        if sum((Fraction(prices[j]) for j in items), Fraction(0)) <= budget:
+            best = max(best, v.value(items))
+    return best
+
+
+def test_price_certificate_checker_edge_rows():
+    """`check_price_certificate` against the Fraction check above, at bounds
+    on both sides of the best affordable value, on hand rows at the edges of
+    its arithmetic and on seeded draws with negative, oversubscribed and
+    huge-denominator prices and negative budgets."""
+    v = base_valuation()
+    fifth = Rat(1, 5)
+    rows = [
+        (v, (Rat(-1, 5), fifth, fifth, Rat(2, 5), fifth), Rat(2, 5)),
+        (v, (fifth,) * 5, Rat(2, 5)),
+        (v, (fifth + Rat(1, 10**30),) + (fifth,) * 4, Rat(2, 5)),
+        (v, (fifth,) * 4 + (Rat(1, 3**90),), Rat(2, 5)),
+        (v, (fifth,) * 4 + (Rat(-1, 3**90),), Rat(2, 5)),
+        (v, (0, 0, 0, 1, 0), Rat(2, 5)),
+        (v, (1, 0, 0, 0, 0), 1),
+        (v, (Rat(1, 3),) * 3 + (0, 0), Rat(2, 5)),
+        (v, (Rat(1, 3),) * 3 + (0, 0), Rat(1, 3) + Rat(1, 10**20)),
+        (v, (fifth,) * 5, Rat(0)),
+        (v, (fifth, 0, 0, fifth, fifth), Rat(0)),
+        (v, (fifth,) * 5, Rat(-1, 5)),
+        (v, (0,) * 5, Rat(-1, 7)),
+        (Valuation(()), (), Rat(2, 5)),
+        (Valuation(()), (), Rat(-1, 2)),
+        (v, (fifth,) * 4, Rat(2, 5)),
+        (v, (fifth,) * 6, Rat(2, 5)),
+        (Valuation(()), (Rat(0),), Rat(2, 5)),
+    ]
+    rng = random.Random(29)
+    for _ in range(300):
+        m = rng.randint(0, 7)
+        values = Valuation(tuple(rng.choice((0, rng.randint(1, 5), rng.randint(1, 1000))) for _ in range(m)))
+        den = rng.choice((1, 2, 3, 7, 10**12, 3**40))
+        low = -1 if rng.random() < 0.1 else 0
+        prices = tuple(Rat(rng.randint(low, den), den * rng.randint(1, m + 1)) for _ in range(m))
+        budget = Rat(rng.randint(-2, 12), rng.randint(1, 12))
+        rows.append((values, prices, budget))
+    verdicts = {True: 0, False: 0}
+    for v, prices, budget in rows:
+        best = _best_affordable_in_fractions(v, prices, budget)
+        edges = {-1, v.total + 1} if best is None else {best - 1, best}
+        for bound in sorted(edges | {-1, rng.randint(0, v.total + 1)}):
+            expected = best is not None and best <= bound
+            assert check_price_certificate(PriceCertificate(prices, budget, bound), v) is expected, (v, prices, budget)
+            verdicts[expected] += 1
+    assert verdicts == {True: 301, False: 726}
+
+
 def test_bundle_witness_checker():
     v = base_valuation()
     whole = BundleWitness(((0, 1, 2, 3, 4),), (Rat(1),), 5)
