@@ -202,7 +202,10 @@ class _Game:
         self.cash = [x.numerator * (self.den // x.denominator) for x in budgets]
         self.cash.append(sum(self.cash))
         self.shown: list[Rat | None] = list(budgets) + [None]
-        self.rankings = [v.ranked_items() for v in valuations]
+        self.valuations = valuations
+        # Each agent's ranking, built on its first `top`: replay never reads
+        # one, and the duel never reads the coalition's.
+        self.rankings: list[list[int] | None] = [None] * len(valuations)
         self.remaining = tuple(range(valuations[0].m))
         self.bundles: list[tuple[int, ...]] = [() for _ in budgets]
         self.rounds: list[tuple[tuple[Rat, ...], int, tuple[int, ...], Rat]] = []
@@ -240,7 +243,10 @@ class _Game:
 
     def top(self, i: int) -> tuple[int, ...]:
         """Agent i's highest-value remaining item."""
-        return _first(self.rankings[i], self.remaining)
+        ranking = self.rankings[i]
+        if ranking is None:
+            ranking = self.rankings[i] = self.valuations[i].ranked_items()
+        return _first(ranking, self.remaining)
 
     def bid(self, i: int, strategy: Strategy) -> Rat:
         """Agent i's bid; an illegal one is flagged and becomes 0."""
@@ -299,8 +305,10 @@ class _Game:
         self.round_no += 1
 
     def fork(self) -> "_Game":
-        """An independent copy of the play so far; it shares the values and the
-        tuples of items, which `settle` replaces rather than changes."""
+        """An independent copy of the play so far. It shares the values, the
+        list of rankings, whose entries are only ever filled in and serve
+        every fork alike, and the tuples of items, which `settle` replaces
+        rather than changes."""
         twin = _copy(self)
         twin.cash = self.cash[:]
         twin.shown = self.shown[:]
@@ -588,13 +596,23 @@ class _Aps35Strategy(_RescueBidder):
     def __init__(self, valuation: Valuation, b: Rat, z, eight_fifteenths: bool = False) -> None:
         super().__init__(valuation)
         self.valuation = valuation
+        self._aim(z)
+        self.half_b = Rat(b) / 2
+        self.eight = eight_fifteenths
+        self.delegate: Strategy | None = None
+
+    def _aim(self, z) -> None:
         self.z = Rat(z)
         # Values are integers, so a value reaches 3z/5 exactly when it reaches
         # its ceiling; that ceiling is <= 0 exactly when z <= 0.
         self.target = math.ceil(Rat(3, 5) * self.z)
-        self.half_b = Rat(b) / 2
-        self.eight = eight_fifteenths
-        self.delegate: Strategy | None = None
+
+    def aimed(self, z) -> "_Aps35Strategy":
+        """This unplayed bidder's copy at target z, as a fresh build at z
+        would be, sharing the ranking and values this one built."""
+        twin = _copy(self)
+        twin._aim(z)
+        return twin
 
     def _start_subgame(self, view: AgentView) -> Rat:
         pool = view.total_budget
@@ -707,26 +725,27 @@ def worst_case_line(
     for wins in patterns:
         if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in wins):
             raise InputError(f"wins: expected 1-based round indices, got {wins!r}")
-    lines = {wins: game for pats, game in _sweep(valuation, b, strategy, patterns) for wins in pats}
+    lines = {wins: game for pats, game in _sweep(_duel(valuation, b), strategy, patterns) for wins in pats}
     worst = min(patterns, key=lambda wins: valuation.value(lines[wins].bundles[0]))
     return worst, lines[worst].transcript(), sum(not lines[wins].infeasible for wins in patterns)
 
 
 def _sweep(
-    valuation: Valuation, b: Rat, strategy: Strategy, patterns: Sequence[tuple[int, ...]], decided=None
+    game: _Game, strategy: Strategy, patterns: Sequence[tuple[int, ...]], decided=None
 ) -> Iterator[tuple[list, _Game]]:
     """Play `patterns`, each a collection of conceded rounds, as one prefix
-    tree; yield each line as (its patterns, its game).
+    tree from the duel `game`; yield each line as (its patterns, its game).
 
-    A line is the play under one set of concessions; `strategy` plays the
-    first line, so pass an unplayed one. The agent bids once per round of a
-    line. Where some of the line's patterns concede a positively bid round
-    and others do not, a copy of the game and a clone of the strategy play on
-    as the branch of those that concede. A round bid at 0 never splits a
-    line, since conceding it settles the same round as outbidding. A line
-    also stops at a round where `decided(game)`.
+    A line is the play under one set of concessions; `game` and `strategy`
+    play the first line, so pass a duel and a strategy no other line plays.
+    The agent bids once per round of a line. Where some of the line's
+    patterns concede a positively bid round and others do not, a copy of the
+    game and a clone of the strategy play on as the branch of those that
+    concede. A round bid at 0 never splits a line, since conceding it settles
+    the same round as outbidding. A line also stops at a round where
+    `decided(game)`.
     """
-    lines = [(_duel(valuation, b), strategy, list(patterns))]
+    lines = [(game, strategy, list(patterns))]
     while lines:
         game, strat, pats = lines.pop()
         while game.remaining and not (decided is not None and decided(game)):
@@ -742,40 +761,61 @@ def _sweep(
         yield pats, game
 
 
+def _z_test(valuation: Valuation, b: Rat):
+    """`test_z_good` for one agent as a function of z. The duel, the
+    concession patterns and the three-step bidder are built once; each z
+    forks the unplayed duel and plays a copy of the bidder aimed at z."""
+    duel = _duel(valuation, b)
+    patterns = enumerate_win_patterns(valuation.m)
+    bidder = _Aps35Strategy(valuation, b, 0)
+    value = valuation.value
+
+    def good(z: int) -> bool:
+        if z <= 0:
+            return True
+
+        def short(got: int) -> bool:
+            return 5 * got < 3 * z
+
+        def decided(game: _Game) -> bool:
+            got = value(game.bundles[0])
+            return not short(got) or short(got + value(game.remaining))
+
+        lines = _sweep(duel.fork(), bidder.aimed(z), patterns, decided)
+        return not any(short(value(game.bundles[0])) for _, game in lines)
+
+    return good
+
+
 def test_z_good(valuation: Valuation, b: Rat, z: int) -> bool:
     """True when the three-step strategy at target z secures 3z/5 against
     every concession pattern, including the lines where the coalition goes
     broke and concedes the remaining rounds by force. A line stops once its
     bundle is worth 3z/5 or, with every remaining item added, still less;
     the bundle only grows and later forks share it, so both are final. The
-    test stops at the first line that falls short."""
-    if z <= 0:
-        return True
-
-    def short(value: int) -> bool:
-        return 5 * value < 3 * z
-
-    def decided(game: _Game) -> bool:
-        got = valuation.value(game.bundles[0])
-        return not short(got) or short(got + valuation.value(game.remaining))
-
-    lines = _sweep(valuation, b, _Aps35Strategy(valuation, b, z), enumerate_win_patterns(valuation.m), decided)
-    return not any(short(valuation.value(game.bundles[0])) for _, game in lines)
+    test stops at the first line that falls short. This is the one-z case of
+    the test `best_good_z` builds once for its whole search."""
+    return z <= 0 or _z_test(valuation, b)(z)
 
 
 def best_good_z(valuation: Valuation, b: Rat) -> int:
     """Largest z surviving `test_z_good`, by binary search.
 
     Every z up to the AnyPrice share is good, so the result is at least the
-    APS while never touching a share solver.
+    APS while never touching a share solver. The search builds one duel and
+    one three-step bidder and plays every z from copies of them; a zero
+    total is good at once and builds neither.
     """
     total = valuation.total
-    if test_z_good(valuation, b, total):
+    if total == 0:
+        return 0
+    good = _z_test(valuation, b)
+    if good(total):
         return total
     lo, hi = 0, total
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if test_z_good(valuation, b, mid):
+        if good(mid):
             lo = mid
         else:
             hi = mid

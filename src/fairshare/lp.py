@@ -42,8 +42,8 @@ class ColumnLP:
 
     Columns are added with `add_column`; `solve` pivots to an optimum from
     the current basis. Between solves `value`, `primal` and `duals`
-    describe the last optimum, and `scaled_value` and `scaled_duals` are
-    the same numbers times `det`, as integers.
+    describe the last optimum, and `scaled_value`, `scaled_primal` and
+    `scaled_duals` are the same numbers times `det`, as integers.
     """
 
     def __init__(self, rhs: list[int]) -> None:
@@ -84,7 +84,6 @@ class ColumnLP:
         tab, rhs, basis, obj = self.tab, self.rhs, self.basis, self.obj
         width = len(obj)
         order = list(range(nrow, width)) + list(range(nrow))
-        rank = {j: r for r, j in enumerate(order)}
         while True:
             enter = next((j for j in order if obj[j] > 0), -1)
             if enter < 0:
@@ -92,9 +91,12 @@ class ColumnLP:
             leave = -1
             for i in range(nrow):
                 a = tab[i][enter]
-                # rhs[i] / a against rhs[leave] / tab[leave][enter], ties by rank
+                # rhs[i] / a against rhs[leave] / tab[leave][enter], ties by
+                # Bland's rank of the basic column, its place in `order`
                 if a > 0 and (
-                    leave < 0 or (rhs[i] * tab[leave][enter], rank[basis[i]]) < (rhs[leave] * a, rank[basis[leave]])
+                    leave < 0
+                    or (rhs[i] * tab[leave][enter], (basis[i] - nrow) % width)
+                    < (rhs[leave] * a, (basis[leave] - nrow) % width)
                 ):
                     leave = i
             if leave < 0:
@@ -113,13 +115,18 @@ class ColumnLP:
             self.det = p
             basis[leave] = enter
 
-    def primal(self) -> list[Rat]:
-        """Values of the structural columns at the last optimum."""
-        x = [Rat(0)] * (len(self.obj) - self.nrow)
+    def scaled_primal(self) -> list[int]:
+        """The structural columns' values at the last optimum times `det`, as
+        integers."""
+        x = [0] * (len(self.obj) - self.nrow)
         for i, var in enumerate(self.basis):
             if var >= self.nrow:
-                x[var - self.nrow] = Rat(self.rhs[i], self.det)
+                x[var - self.nrow] = self.rhs[i]
         return x
+
+    def primal(self) -> list[Rat]:
+        """Values of the structural columns at the last optimum."""
+        return [Rat(x, self.det) for x in self.scaled_primal()]
 
     def scaled_duals(self) -> list[int]:
         """The optimal multipliers times `det`, as integers."""

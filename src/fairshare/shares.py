@@ -156,14 +156,6 @@ def _min_price_reaching(
     return cost, frozenset(j for j in range(len(values)) if mask >> j & 1), worth
 
 
-def _max_affordable_value(values: Sequence[int], prices: Sequence[Rat], budget: Rat) -> int:
-    """Highest subset value purchasable within the budget: the budgeted DP on
-    the non-negative prices scaled to ints, at the budget floor(budget * scale)."""
-    scale = math.lcm(*(prices[j].denominator for j in range(len(values)) if values[j] > 0))
-    costs = [p.numerator * (scale // p.denominator) if v > 0 else 0 for p, v in zip(prices, values)]
-    return _max_worth(values, costs, math.floor(budget * scale))
-
-
 def _max_worth(values: Sequence[int], costs: Sequence[int], budget: int) -> int:
     """Highest subset value at integer costs within an integer budget."""
     states = _subset_states(values, costs, sum(values), budget)
@@ -382,14 +374,18 @@ class ApsResult(NamedTuple):
 
 
 def check_price_certificate(cert: PriceCertificate, valuation: Valuation) -> bool:
+    """One price per item, none negative, summing to at most 1, and no bundle
+    within the budget worth more than `value_bound`. Every test runs on the
+    prices as ints over their common denominator, at which the budget is its
+    floor (an int cost is within a budget exactly when within its floor)."""
     if len(cert.prices) != valuation.m:
         return False
-    if any(p < 0 for p in cert.prices):
+    scale = math.lcm(*(p.denominator for p in cert.prices))
+    costs = [p.numerator * (scale // p.denominator) for p in cert.prices]
+    if any(c < 0 for c in costs) or sum(costs) > scale:
         return False
-    if sum(cert.prices, Rat(0)) > 1:
-        return False
-    best = _max_affordable_value(valuation.item_values, cert.prices, cert.budget)
-    return best <= cert.value_bound
+    budget = cert.budget.numerator * scale // cert.budget.denominator
+    return _max_worth(valuation.item_values, costs, budget) <= cert.value_bound
 
 
 def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bool:
@@ -472,15 +468,16 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     every later one: the whole call warm-starts one `ColumnLP`. The
     certificate is the padded prices of the last LP with opt < 1, built as
     Rats once the descent stops, which leave nothing above the share
-    affordable. The witness is the LP's primal
-    packing at the threshold that stopped the descent, normalised to weights
-    summing to 1: every bundle is worth at least the share and each item is
-    covered at most b. Both are re-checked with `check_price_certificate`
-    and `check_bundle_witness`, which raise AssertionError (also under -O)
-    instead of returning a wrong share. Both oracles run `_subset_states`,
-    which keeps only the states within their budget: at most
-    min(2^m, v(M) + 1) states at any value scale, and `knapsack-value` counts
-    no more of them than an unbudgeted DP would.
+    affordable. The witness is the LP's primal packing at the threshold that
+    stopped the descent, read as integers (`scaled_primal`) and normalised
+    to weights w / sum(w): every bundle is worth at least the share and each
+    item is covered at most b. Both are re-checked with
+    `check_price_certificate` and `check_bundle_witness`, which raise
+    AssertionError (also under -O) instead of returning a wrong share. Every
+    knapsack DP of the call runs `_subset_states`, which keeps only the
+    states within its budget: at most min(2^m, v(M) + 1) states at any value
+    scale, and `knapsack-value` counts no more of them than an unbudgeted DP
+    would.
     """
     b = check_entitlement(b)
     m = valuation.m
@@ -508,13 +505,13 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     if aps == 0:
         wit = BundleWitness(((),), (Rat(1),), 0)
     else:
-        packing = [(s, w) for s, w in zip(cols, lp.primal()) if w > 0]
+        packing = [(s, w) for s, w in zip(cols, lp.scaled_primal()) if w > 0]
         if len(packing) > m:
             raise AssertionError(f"APS witness: {len(packing)} bundles exceed {m} items")
-        mass = sum((w for _, w in packing), Rat(0))
+        mass = sum(w for _, w in packing)
         wit = BundleWitness(
             tuple(tuple(sorted(s)) for s, _ in packing),
-            tuple(w / mass for _, w in packing),
+            tuple(Rat(w, mass) for _, w in packing),
             aps,
         )
     if not check_price_certificate(cert, valuation):

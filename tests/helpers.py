@@ -17,7 +17,7 @@ from fairshare import (
     make_instance,
     worst_case_adversary,
 )
-from fairshare.bidding import _sweep
+from fairshare.bidding import _duel, _sweep
 
 
 def adversary_sweep_min(valuation: Valuation, b: Rat, make_strategy: Callable) -> int | None:
@@ -41,7 +41,7 @@ def sweep_transcripts(valuation: Valuation, b: Rat, strategy):
     them: `strategy` plays the no-concession line, and a pattern that
     concedes a round bid at 0, or one past its line's last round, shares the
     transcript of the line it folds into."""
-    for patterns, game in _sweep(valuation, b, strategy, enumerate_win_patterns(valuation.m)):
+    for patterns, game in _sweep(_duel(valuation, b), strategy, enumerate_win_patterns(valuation.m)):
         transcript = game.transcript()
         for wins in patterns:
             yield wins, transcript

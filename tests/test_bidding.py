@@ -28,7 +28,7 @@ from fairshare import (
     worst_case_line,
 )
 from fairshare import test_z_good as z_goodness
-from fairshare.bidding import STRATEGIES, Strategy, _Aps35Strategy, _RankItemStrategy, _TpsStrategy
+from fairshare.bidding import STRATEGIES, Strategy, _Aps35Strategy, _Game, _RankItemStrategy, _TpsStrategy
 from fairshare.core import rat_to_str
 from fairshare.oracle import game_tree_oracle
 from fairshare.shares import aps_exact
@@ -178,6 +178,18 @@ def test_transcript_json_round_trip():
     # Rounds built by hand may hold lists; replay reads them the same.
     listed = tuple(RoundRecord(list(r.bids), r.winner, list(r.taken), r.payment) for r in t.rounds)
     assert replay_transcript(inst, GameTranscript(listed, t.allocation, t.flags)) == t.allocation
+
+
+def test_replay_ranks_no_items(monkeypatch):
+    # Replay only checks and settles recorded rounds; it never asks for a
+    # top item, so it ranks no agent's items.
+    inst = five_unit_instance()
+    t = run_game(inst, [STRATEGIES["tps"](inst.valuations[i], inst.entitlements[i], None) for i in range(3)])
+    calls = []
+    real = Valuation.ranked_items
+    monkeypatch.setattr(Valuation, "ranked_items", lambda v: calls.append(v) or real(v))
+    assert replay_transcript(inst, t) == t.allocation
+    assert calls == []
 
 
 def test_replay_rejects_tampering():
@@ -884,6 +896,31 @@ def test_best_z_values():
     assert best_good_z(v, Rat(2, 5)) >= 2
     assert best_good_z(Valuation((0, 0)), Rat(1, 2)) == 0
     assert best_good_z(Valuation((1, 1)), Rat(1, 2)) >= 1
+
+
+def test_best_good_z_builds_one_duel_and_one_bidder(monkeypatch):
+    # The binary search tries six targets here; each forks the one duel and
+    # plays a retargeted copy of the one three-step bidder instead of
+    # building both afresh. The copies are not clones, so the pinned clone
+    # counts of the sweep tests stay as they are.
+    # The duel ranks the agent's items on her first top item and never
+    # ranks the coalition's, so the search sorts the items twice in all.
+    counts = {"game": 0, "bidder": 0, "ranking": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(_Game, "__init__", counting("game", _Game.__init__))
+    monkeypatch.setattr(_Aps35Strategy, "__init__", counting("bidder", _Aps35Strategy.__init__))
+    monkeypatch.setattr(Valuation, "ranked_items", counting("ranking", Valuation.ranked_items))
+    v, b = Valuation((5, 4, 4, 3, 1, 1)), Rat(2, 5)
+    z = best_good_z(v, b)
+    assert counts == {"game": 1, "bidder": 1, "ranking": 2}
+    assert z == max(x for x in range(v.total + 1) if z_goodness(v, b, x))
 
 
 def _frontier_row(seed: int, n: int, m: int) -> Valuation:

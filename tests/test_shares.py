@@ -39,7 +39,7 @@ from fairshare import (
 from fairshare import shares
 from fairshare.lp import ColumnLP
 from fairshare.oracle import aps_brute
-from fairshare.shares import _max_affordable_value, _min_price_reaching
+from fairshare.shares import _min_price_reaching
 
 from helpers import base_valuation, pair_sum_valuation, rand_entitlement, rand_entitlements, rand_valuation, unit_items
 
@@ -527,10 +527,22 @@ def test_aps_certificate_checks_survive_optimize_flag():
     assert proc.stdout.split() == ["raised", "raised"]
 
 
+def _affords_at_most(values, prices, budget, bound) -> bool:
+    """Whether `check_price_certificate` finds nothing worth more than `bound`
+    affordable at `budget` under the non-negative `prices`. The prices and
+    the budget are first divided by the price mass when it exceeds 1, which
+    leaves every bundle's affordability as it was. The checker's best
+    affordable value is x exactly when this holds at x and fails at x - 1."""
+    mass = max(sum(prices, Rat(0)), Rat(1))
+    cert = PriceCertificate(tuple(Rat(p) / mass for p in prices), Rat(budget) / mass, bound)
+    return check_price_certificate(cert, Valuation(tuple(values)))
+
+
 def test_subset_state_oracles_match_enumeration():
-    """Both oracles against plain subset enumeration, with values up to 10^9
-    and zero values and zero prices mixed in: the separation bundle is the
-    cheapest of value >= t and, among the cheapest, of the lowest value."""
+    """The separation oracle and the certificate checker's affordability DP
+    against plain subset enumeration, with values up to 10^9 and zero values
+    and zero prices mixed in: the separation bundle is the cheapest of value
+    >= t and, among the cheapest, of the lowest value."""
     rng = random.Random(67)
     for _ in range(150):
         m = rng.randint(1, 10)
@@ -552,11 +564,12 @@ def test_subset_state_oracles_match_enumeration():
             assert sum(values[j] for j in bundle) == worth
         budget = Rat(rng.randint(0, 20), rng.randint(1, 9))
         best = max(v for _, p, v in subsets if p <= budget)
-        assert _max_affordable_value(values, prices, budget) == best
+        assert _affords_at_most(values, prices, budget, best) and not _affords_at_most(values, prices, budget, best - 1)
 
 
 def test_budgeted_oracles_match_enumeration_on_ties():
-    """Both oracles prune the DP at their budget. On small values and costs,
+    """The separation oracle and the certificate checker both prune the DP at
+    their budget. On small values and costs,
     where many subsets tie, with zero-value items, zero prices, budget 0 and
     budgets at or above the total cost: a bundle that costs exactly the
     budget is affordable, and the separation bundle below a bound is the
@@ -576,10 +589,11 @@ def test_budgeted_oracles_match_enumeration_on_ties():
         exact = rng.choice(subsets)
         for spend in (0, exact[1], rng.randint(0, total_cost), total_cost, total_cost + 1):
             best = max(v for _, c, v in subsets if c <= spend)
-            got = _max_affordable_value(values, prices, Rat(spend, den))
-            assert got == best
+            budget = Rat(spend, den)
+            assert _affords_at_most(values, prices, budget, best)
+            assert not _affords_at_most(values, prices, budget, best - 1)
             if spend == exact[1]:
-                assert got >= exact[2]
+                assert not _affords_at_most(values, prices, budget, exact[2] - 1)
         total = sum(values)
         for t in (0, 1, total, total + 1, rng.randint(1, max(total, 1)), exact[2]):
             reaching = [(c, v) for _, c, v in subsets if v >= t]
