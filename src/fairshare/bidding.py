@@ -803,12 +803,9 @@ def best_good_z(valuation: Valuation, b: Rat) -> int:
 
     Every z up to the AnyPrice share is good, so the result is at least the
     APS while never touching a share solver. The search builds one duel and
-    one three-step bidder and plays every z from copies of them; a zero
-    total is good at once and builds neither.
+    one three-step bidder and plays every z from copies of them.
     """
     total = valuation.total
-    if total == 0:
-        return 0
     good = _z_test(valuation, b)
     if good(total):
         return total
