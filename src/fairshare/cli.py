@@ -45,6 +45,7 @@ from .core import (
 )
 from .greedy_efx import greedy_efx_full
 from .shares import (
+    ApsResult,
     aps_exact,
     mms_exact,
     pessimistic_share_exact,
@@ -122,8 +123,7 @@ def _parse_strategy_specs(text: str | None, n: int) -> dict[int, tuple[str, int 
 # Subcommands.
 
 
-def _aps_share(inst: Instance, i: int) -> dict:
-    res = aps_exact(inst.valuations[i], inst.entitlements[i])
+def _aps_share(res: ApsResult) -> dict:
     return {
         "value": res.value,
         "certificate": res.certificate.to_json_dict(),
@@ -131,25 +131,31 @@ def _aps_share(inst: Instance, i: int) -> dict:
     }
 
 
-# Every notion `shares` accepts, as a builder (instance, agent) -> JSON value.
-# The builders look the solvers up when called, so a rebound solver is used.
+# Every notion `shares` accepts, as a builder (valuation, entitlement,
+# instance, agent, APS result or None) -> JSON value. The builders look the
+# solvers up when called, so a rebound solver is used.
 NOTIONS = {
-    "proportional": lambda inst, i: rat_to_str(proportional_share(inst.valuations[i], inst.entitlements[i])),
-    "tps": lambda inst, i: rat_to_str(tps(inst.valuations[i], inst.entitlements[i])),
-    "aps": _aps_share,
-    "pessimistic": lambda inst, i: pessimistic_share_exact(inst.valuations[i], inst.entitlements[i]),
-    "mms": lambda inst, i: mms_exact(inst.valuations[i], inst.n),
-    "wmms": lambda inst, i: rat_to_str(wmms_exact(inst.entitlements, i, inst.valuations[i])),
-    "unit-demand": lambda inst, i: unit_demand_aps(inst.valuations[i].item_values, inst.entitlements[i]),
+    "proportional": lambda v, b, inst, i, aps: rat_to_str(proportional_share(v, b)),
+    "tps": lambda v, b, inst, i, aps: rat_to_str(tps(v, b)),
+    "aps": lambda v, b, inst, i, aps: _aps_share(aps),
+    "pessimistic": lambda v, b, inst, i, aps: pessimistic_share_exact(v, b, aps.value if aps else None),
+    "mms": lambda v, b, inst, i, aps: mms_exact(v, inst.n, aps.value if aps and b * inst.n == 1 else None),
+    "wmms": lambda v, b, inst, i, aps: rat_to_str(wmms_exact(inst.entitlements, i, v)),
+    "unit-demand": lambda v, b, inst, i, aps: unit_demand_aps(v.item_values, b),
 }
 
 
 def _agent_shares(inst: Instance, i: int, notions: list[str]) -> dict:
+    """Agent i's shares. When `aps` is among the notions, the one APS solve
+    also caps the pessimistic search and, at b_i = 1/n, the MMS search,
+    which the paper's chain bounds by it."""
+    v, b = inst.valuations[i], inst.entitlements[i]
+    aps = aps_exact(v, b) if "aps" in notions else None
     return {
         "agent": i,
         "name": inst.agent_names[i],
-        "entitlement": rat_to_str(inst.entitlements[i]),
-        "shares": {notion: NOTIONS[notion](inst, i) for notion in notions},
+        "entitlement": rat_to_str(b),
+        "shares": {notion: NOTIONS[notion](v, b, inst, i, aps) for notion in notions},
     }
 
 

@@ -65,28 +65,37 @@ def proportional_share(valuation: Valuation, b: Rat) -> Rat:
     return b * valuation.total
 
 
-def tps(valuation: Valuation, b: Rat) -> Rat:
-    """Truncated proportional share.
+def _peel(valuation: Valuation, b: Rat) -> tuple[list[int], int, int]:
+    """The items the truncated proportional share truncates, and what is left.
 
     Peels the highest-value item while it exceeds the proportional share of
-    what is left, inflating the entitlement to b/(1-b) at each peel; once the
-    entitlement reaches 1/2 the remainder is priced in one step. The
-    entitlement stays the integer pair p/q, so b/(1-b) is p/(q-p), and only
-    the returned share is a Rat.
+    what is left, inflating the entitlement to b/(1-b) at each peel. The
+    entitlement stays the integer pair p/q, so b/(1-b) is p/(q-p); once it
+    reaches 1/2 the next peel takes it to 1 or above, where nothing more is
+    peeled. Returns the peeled items, highest first, the total V_R of the
+    rest and the final q, so that TPS = p * V_R / q. Every peel has
+    top * q > p * total >= p * top, so q stays positive, and every peeled
+    item is worth more than the TPS.
     """
-    b = check_entitlement(b)
     p, q = b.numerator, b.denominator
-    vals = sorted(valuation.item_values, reverse=True)
-    total = sum(vals)
-    for top in vals:
-        if top * q <= p * total:
+    values = valuation.item_values
+    total = valuation.total
+    peeled = []
+    for j in valuation.ranked_items():
+        if values[j] * q <= p * total:
             break
-        if 2 * p >= q:
-            # b = 1 cannot reach here: top <= total returns above.
-            return Rat(p * (total - top), q - p)
-        total -= top
+        peeled.append(j)
+        total -= values[j]
         q -= p
-    return Rat(p * total, q)
+    return peeled, total, q
+
+
+def tps(valuation: Valuation, b: Rat) -> Rat:
+    """Truncated proportional share: p * V_R / q for the peel `_peel` makes.
+    `aps_exact` starts its descent from prices built on the same peel."""
+    b = check_entitlement(b)
+    _, rest, q = _peel(valuation, b)
+    return Rat(b.numerator * rest, q)
 
 
 def _kth_largest(item_values: Sequence[int], k: int) -> int:
@@ -105,7 +114,7 @@ def unit_demand_aps(item_values: Sequence[int], b: Rat) -> int:
 
 
 def _subset_states(
-    values: Sequence[int], costs: Sequence[int], cap: int, budget: int
+    values: Sequence[int], costs: Sequence[int], cap: int, budget: int, limit: int
 ) -> dict[int, tuple[int, int, int]]:
     """0/1 DP over the positive-value items keeping reachable states only (Toth
     1980): states[k] = (cost, value, mask) of the cheapest subset of value k,
@@ -114,11 +123,11 @@ def _subset_states(
     the caller scaled the prices to, so a state above the budget only gets
     dearer and is never kept (Beier & Voecking 2003); every state within it
     is the one the unbudgeted DP keeps. The state count is guarded by
-    `knapsack-value`; it is at most min(2^m, cap + 1) at any value scale and
-    never more than the unbudgeted DP's, so the guard trips no more often."""
+    `knapsack-value` at `limit`, the `guard_limit()` its caller read once; it
+    is at most min(2^m, cap + 1) at any value scale and never more than the
+    unbudgeted DP's, so the guard trips no more often."""
     if budget < 0:
         return {}
-    limit = guard_limit()
     states = {0: (0, 0, 0)}
     for j, v in enumerate(values):
         p = costs[j]
@@ -140,7 +149,7 @@ def _subset_states(
 
 
 def _min_price_reaching(
-    values: Sequence[int], costs: Sequence[int], target: int, bound: int
+    values: Sequence[int], costs: Sequence[int], target: int, bound: int, limit: int
 ) -> tuple[int, frozenset[int], int] | None:
     """Cheapest subset with value >= target, as (cost, subset, value), or
     None if none reaches it at a cost below `bound`. Ties go to the lowest
@@ -149,16 +158,16 @@ def _min_price_reaching(
         return (0, frozenset(), 0) if bound > 0 else None
     if target > sum(values):
         return None
-    state = _subset_states(values, costs, target, bound - 1).get(target)
+    state = _subset_states(values, costs, target, bound - 1, limit).get(target)
     if state is None:
         return None
     cost, worth, mask = state
     return cost, frozenset(j for j in range(len(values)) if mask >> j & 1), worth
 
 
-def _max_worth(values: Sequence[int], costs: Sequence[int], budget: int) -> int:
+def _max_worth(values: Sequence[int], costs: Sequence[int], budget: int, limit: int) -> int:
     """Highest subset value at integer costs within an integer budget."""
-    states = _subset_states(values, costs, sum(values), budget)
+    states = _subset_states(values, costs, sum(values), budget, limit)
     return max((worth for _, worth, _ in states.values()), default=0)
 
 
@@ -166,12 +175,27 @@ def _max_worth(values: Sequence[int], costs: Sequence[int], budget: int) -> int:
 # Partition-based shares: one branch and bound behind all four.
 
 
+class _CapReached(Exception):
+    """A partition search found a leaf worth its cap, so nothing beats it."""
+
+
 def _partition_search(
-    values: Sequence[int], weights: Sequence[int], take: int, counter: _NodeCounter, best: int = 0
+    values: Sequence[int],
+    weights: Sequence[int],
+    take: int,
+    counter: _NodeCounter,
+    best: int = 0,
+    cap: int | None = None,
 ) -> int:
     """Largest sum of the `take` smallest weighted bundle values W_k * v(A_k)
     over assignments of the items to len(weights) bundles, or `best` if no
     assignment beats it.
+
+    `cap` is an upper bound on the answer that the caller holds, an APS by
+    the paper's share chain. The search ends at the first leaf worth the
+    cap, which is then optimal, and a leaf worth more raises AssertionError,
+    also under -O: it would contradict the chain, so the cap or the search
+    is wrong.
 
     Positive items are placed in descending order, each trying the lowest
     bundle first, so the first leaf is the LPT split (Graham 1969; Korf
@@ -228,6 +252,10 @@ def _partition_search(
             return
         if idx == len(items):
             best = bound
+            if cap is not None and bound >= cap:
+                if bound > cap:
+                    raise AssertionError(f"partition search: a split worth {bound} exceeds its cap {cap}")
+                raise _CapReached
             return
         if (idx, asc) in seen:
             return
@@ -244,18 +272,25 @@ def _partition_search(
                 child.sort()
                 dfs(idx + 1, tuple(child), pool - x)
 
-    dfs(0, tuple(sorted(distinct.index(w) for w in weights)), sum(items))
+    try:
+        dfs(0, tuple(sorted(distinct.index(w) for w in weights)), sum(items))
+    except _CapReached:
+        pass
     return best
 
 
-def mms_exact(valuation: Valuation, n_parts: int) -> int:
+def mms_exact(valuation: Valuation, n_parts: int, aps: int | None = None) -> int:
     """Maximin share over partitions into n_parts bundles: the partition
     search with one unit-weight bundle per part, maximising the smallest.
     Node count is guarded by `mms-nodes`.
+
+    `aps` is APS(valuation, 1/n_parts) when the caller has it. The paper's
+    chain gives MMS <= APS at that entitlement, so it caps the search: a
+    split worth the APS ends it, and one worth more raises AssertionError.
     """
     if n_parts < 1:
         raise InputError(f"n_parts: must be >= 1, got {n_parts}")
-    return _partition_search(valuation.item_values, [1] * n_parts, 1, _NodeCounter("mms-nodes"))
+    return _partition_search(valuation.item_values, [1] * n_parts, 1, _NodeCounter("mms-nodes"), cap=aps)
 
 
 def l_out_of_d_share_exact(valuation: Valuation, l: int, d: int) -> int:
@@ -269,7 +304,7 @@ def l_out_of_d_share_exact(valuation: Valuation, l: int, d: int) -> int:
     return _partition_search(valuation.item_values, [1] * d, l, _NodeCounter("partition-nodes"))
 
 
-def pessimistic_share_exact(valuation: Valuation, b: Rat) -> int:
+def pessimistic_share_exact(valuation: Valuation, b: Rat, aps: int | None = None) -> int:
     """Best l-out-of-d guarantee with l/d <= b.
 
     l ranges over 1..floor(b*m) (more than m bundles only add empty ones),
@@ -282,6 +317,10 @@ def pessimistic_share_exact(valuation: Valuation, b: Rat) -> int:
     searched; a unit fraction b = 1/q searches l = 1, d = q alone, its MMS.
     Each search is seeded with the best value so far, so it only explores
     what could beat it; one `partition-nodes` guard spans the whole sweep.
+
+    `aps` is APS(valuation, b) when the caller has it. The paper's chain
+    gives pessimistic <= APS, so it caps every search, and the sweep stops
+    once a split reaches it; a split worth more raises AssertionError.
     """
     b = check_entitlement(b)
     counter = _NodeCounter("partition-nodes")
@@ -289,7 +328,9 @@ def pessimistic_share_exact(valuation: Valuation, b: Rat) -> int:
     for l in range(1, math.floor(b * valuation.m) + 1):
         d = math.ceil(l / b)
         if math.gcd(l, d) == 1:
-            best = _partition_search(valuation.item_values, [1] * d, l, counter, best)
+            best = _partition_search(valuation.item_values, [1] * d, l, counter, best, aps)
+            if best == aps:
+                break
     return best
 
 
@@ -385,7 +426,7 @@ def check_price_certificate(cert: PriceCertificate, valuation: Valuation) -> boo
     if any(c < 0 for c in costs) or sum(costs) > scale:
         return False
     budget = cert.budget.numerator * scale // cert.budget.denominator
-    return _max_worth(valuation.item_values, costs, budget) <= cert.value_bound
+    return _max_worth(valuation.item_values, costs, budget, guard_limit()) <= cert.value_bound
 
 
 def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bool:
@@ -414,7 +455,7 @@ def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bo
 
 
 def _threshold_price_lp(
-    values: Sequence[int], b: Rat, t: int, lp: ColumnLP, cols: list[frozenset[int]]
+    values: Sequence[int], b: Rat, t: int, lp: ColumnLP, cols: list[frozenset[int]], limit: int
 ) -> bool:
     """min sum(p) s.t. p(S) >= b for every S with v(S) >= t, p >= 0, and
     whether its optimum reaches 1.
@@ -441,11 +482,49 @@ def _threshold_price_lp(
         lp.solve()
         if b.numerator * lp.scaled_value >= b.denominator * lp.det:
             return True
-        sep = _min_price_reaching(values, lp.scaled_duals(), t, lp.det)
+        sep = _min_price_reaching(values, lp.scaled_duals(), t, lp.det, limit)
         if sep is None:
             return False
         cols.append(sep[1])
         lp.add_column(1, [1 if j in sep[1] else 0 for j in range(len(values))])
+
+
+def _tps_prices(valuation: Valuation, b: Rat) -> tuple[list[int], list[int], int]:
+    """Prices built on the TPS peel under which nothing worth more than
+    floor(TPS) is affordable at b: the peeled items, and the prices as
+    integer costs over a scale that q divides, so the budget is the int
+    p * scale / q.
+
+    With k items peeled, V_R the total of the rest and T = floor(TPS), each
+    peeled item costs the midpoint pi of (b, (1 - b * V_R / (T + 1)) / k),
+    an interval that is open because TPS = b * V_R / (1 - k * b) < T + 1,
+    and each other item j costs (1 - k * pi) * v_j / V_R. A peeled item then
+    costs more than b, and a bundle of the rest is affordable exactly when
+    its value is at most b * V_R / (1 - k * pi) < T + 1. With k = 0 the
+    prices are v_j / V_R, affordable exactly up to the TPS itself. When V_R
+    is 0 the peeled items share the mass evenly, or every item does when
+    none is peeled, and only bundles worth 0 are affordable.
+    """
+    m = valuation.m
+    values = valuation.item_values
+    peeled, rest, q = _peel(valuation, b)
+    k = len(peeled)
+    if rest == 0:
+        owners = peeled or range(m)
+        prices = [Rat(0)] * m
+        for j in owners:
+            prices[j] = Rat(1, len(owners))
+    else:
+        pi = Rat(0)
+        if k:
+            floor_tps = b.numerator * rest // q
+            pi = (b + (1 - b * rest / (floor_tps + 1)) / k) / 2
+        rate = (1 - k * pi) / rest
+        prices = [rate * x for x in values]
+        for j in peeled:
+            prices[j] = pi
+    scale = math.lcm(b.denominator, *(x.denominator for x in prices))
+    return peeled, [x.numerator * (scale // x.denominator) for x in prices], scale
 
 
 def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
@@ -453,31 +532,33 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
 
     The share is found by a descent on the integer threshold t through the
     exact threshold LP, each LP's prices giving the next threshold (the
-    parametric step of Dinkelbach 1967). It starts at t = floor(tps) + 1,
-    which no packing reaches since APS <= TPS. While the LP at t has
-    opt < 1, its prices b * duals, padded to sum exactly 1, prove APS <= u,
-    the best value affordable at b under them, and u < t; t drops to u. With
-    b = p/q, the LP's integer duals and value give these prices as integer
-    costs over the scale q * det * m, at which the budget is p * det * m, so
-    each step runs the DP on ints and builds no Fraction. The
-    descent stops at t = 0 or at the first t whose LP packing reaches 1,
-    which proves APS >= t, so APS = t. An all-zero valuation descends from
-    t = 1 to 0 under uniform prices.
+    parametric step of Dinkelbach 1967). It starts from the prices of
+    `_tps_prices`, built on the TPS peel: the best value u affordable at b
+    under them is at most floor(TPS), so APS <= u, and u is the first
+    threshold. While the LP at t has opt < 1, its prices b * duals, padded
+    to sum exactly 1, prove APS <= u, the best value affordable at b under
+    them, and u < t; t drops to u. With b = p/q, the LP's integer duals and
+    value give these prices as integer costs over the scale q * det * m, at
+    which the budget is p * det * m, so each step runs the DP on ints and
+    builds no Fraction. The descent stops at t = 0 or at the first t whose
+    LP packing reaches 1, which proves APS >= t, so APS = t. An all-zero
+    valuation affords only 0 under the start prices and runs no LP.
 
     Thresholds only fall, so a bundle found at one is a valid column at
-    every later one: the whole call warm-starts one `ColumnLP`. The
-    certificate is the padded prices of the last LP with opt < 1, built as
-    Rats once the descent stops, which leave nothing above the share
-    affordable. The witness is the LP's primal packing at the threshold that
-    stopped the descent, read as integers (`scaled_primal`) and normalised
-    to weights w / sum(w): every bundle is worth at least the share and each
-    item is covered at most b. Both are re-checked with
-    `check_price_certificate` and `check_bundle_witness`, which raise
-    AssertionError (also under -O) instead of returning a wrong share. Every
-    knapsack DP of the call runs `_subset_states`, which keeps only the
-    states within its budget: at most min(2^m, v(M) + 1) states at any value
-    scale, and `knapsack-value` counts no more of them than an unbudgeted DP
-    would.
+    every later one: the whole call warm-starts one `ColumnLP`. Its first
+    columns are the peeled items alone, each worth more than the TPS. The
+    certificate is the last prices that set a threshold, the start prices
+    when the first LP reaches 1, built as Rats once the descent stops; they
+    leave nothing above the share affordable. The witness is the LP's primal
+    packing at the threshold that stopped the descent, read as integers
+    (`scaled_primal`) and normalised to weights w / sum(w): every bundle is
+    worth at least the share and each item is covered at most b. Both are
+    re-checked with `check_price_certificate` and `check_bundle_witness`,
+    which raise AssertionError (also under -O) instead of returning a wrong
+    share. Every knapsack DP of the call runs `_subset_states` under one
+    `guard_limit()` read, and keeps only the states within its budget: at
+    most min(2^m, v(M) + 1) states at any value scale, and `knapsack-value`
+    counts no more of them than an unbudgeted DP would.
     """
     b = check_entitlement(b)
     m = valuation.m
@@ -485,21 +566,22 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     if m == 0:
         return ApsResult(0, PriceCertificate((), b, 0), BundleWitness(((),), (Rat(1),), 0))
 
-    lp = ColumnLP([1] * m)
-    cols: list[frozenset[int]] = []
+    limit = guard_limit()
     p, q = b.numerator, b.denominator
-    t = math.floor(tps(valuation, b)) + 1
-    costs = scale = None
-    while t > 0 and not _threshold_price_lp(values, b, t, lp, cols):
+    peeled, costs, scale = _tps_prices(valuation, b)
+    t = _max_worth(values, costs, p * scale // q, limit)
+    lp = ColumnLP([1] * m)
+    cols = [frozenset((j,)) for j in peeled]
+    for (j,) in cols:
+        lp.add_column(1, [1 if i == j else 0 for i in range(m)])
+    while t > 0 and not _threshold_price_lp(values, b, t, lp, cols, limit):
         pad = q * lp.det - p * lp.scaled_value
         costs = [p * m * y + pad for y in lp.scaled_duals()]
         scale = q * lp.det * m
-        u = _max_worth(values, costs, p * lp.det * m)
+        u = _max_worth(values, costs, p * lp.det * m, limit)
         if u >= t:
             raise AssertionError(f"APS search: {u} is affordable under prices that exclude every bundle worth {t}")
         t = u
-    if costs is None:
-        raise AssertionError(f"APS search: threshold {t} is reachable, so {t - 1} is not the share")
     aps = t
     cert = PriceCertificate(tuple(Rat(c, scale) for c in costs), b, aps)
     if aps == 0:

@@ -91,7 +91,9 @@ def check_allocation(
 
     A zero threshold is a vacuous pass. Shares that exceed their size guard
     are reported as None and excluded from the threshold. `solved` holds each
-    agent's `aps_exact` result when the caller has them already.
+    agent's `aps_exact` result when the caller has them already. The
+    pessimistic share is reported, not used by any threshold; each agent's
+    APS caps its search, which stops at the first split worth the APS.
     """
     if bounds not in BOUND_SETS:
         raise InputError(f"bounds: expected one of {', '.join(BOUND_SETS)}, got {bounds!r}")
@@ -111,7 +113,7 @@ def check_allocation(
             "aps": aps,
         }
         try:
-            shares["pessimistic"] = pessimistic_share_exact(v, b)
+            shares["pessimistic"] = pessimistic_share_exact(v, b, aps)
         except GuardError:
             shares["pessimistic"] = None
         if bounds == "arbitrary-entitlements":
@@ -173,12 +175,13 @@ def check_share_chain(valuation, b: Rat) -> dict:
 
     Checks proportional >= tps >= aps >= pessimistic >= aps/2 and raises
     AssertionError, also under python -O, on a violation: that would be an
-    implementation bug, not a property of the instance.
+    implementation bug, not a property of the instance. The APS caps the
+    pessimistic search, which raises at a split worth more.
     """
     p = proportional_share(valuation, b)
     t = tps(valuation, b)
     a = aps_exact(valuation, b).value
-    pe = pessimistic_share_exact(valuation, b)
+    pe = pessimistic_share_exact(valuation, b, a)
     if p < t:
         raise AssertionError(f"proportional {p} < tps {t}")
     if t < a:

@@ -68,6 +68,35 @@ def test_shares_extra_notions(tmp_path, capsys):
     assert "/" in shares["wmms"] or shares["wmms"].isdigit()
 
 
+def test_shares_solve_each_aps_once(tmp_path, capsys, monkeypatch):
+    """One APS solve per agent serves `aps` and caps the pessimistic and, at
+    b = 1/n, the MMS search; without `aps` among the notions, no APS runs.
+    The values are those of the uncapped searches."""
+    calls = []
+    real = fairshare.cli.aps_exact
+
+    def counted(v, b):
+        calls.append(b)
+        return real(v, b)
+
+    monkeypatch.setattr(fairshare.cli, "aps_exact", counted)
+    for doc in (BASE_EXAMPLE, FIVE_UNITS):
+        path = write(tmp_path, "inst.json", doc)
+        inst = parse_instance(json.dumps(doc))
+        calls.clear()
+        code, out, _ = run_cli(capsys, ["shares", path, "--notions", "aps,pessimistic,mms"])
+        assert code == 0 and len(calls) == inst.n
+        assert [a["shares"]["pessimistic"] for a in out["agents"]] == [
+            fairshare.shares.pessimistic_share_exact(v, b) for v, b in zip(inst.valuations, inst.entitlements)
+        ]
+        assert [a["shares"]["mms"] for a in out["agents"]] == [
+            fairshare.shares.mms_exact(v, inst.n) for v in inst.valuations
+        ]
+        calls.clear()
+        code, _, _ = run_cli(capsys, ["shares", path, "--notions", "pessimistic"])
+        assert code == 0 and calls == []
+
+
 def test_shares_unknown_notion_is_input_error(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "inst.json", BASE_EXAMPLE)
     code, _, err = run_cli(capsys, ["shares", path, "--notions", "nonsense"])

@@ -26,6 +26,7 @@ from fairshare import (
     aps_exact,
     check_bundle_witness,
     check_price_certificate,
+    guard_limit,
     l_out_of_d_share_exact,
     mms_exact,
     pessimistic_share_exact,
@@ -375,6 +376,40 @@ def test_aps_matches_brute_force_at_both_bracket_ends():
     assert at_low_only and at_high_only
 
 
+def test_tps_start_prices_certify_floor_tps():
+    """The descent's start prices, built on the TPS peel: non-negative,
+    summing to 1, and nothing worth more than floor(TPS) affordable at b
+    under them. The draws cover an all-zero row, b = 1, a single positive
+    item and peels that end with the entitlement at 1/2 or above, where the
+    last peel lifts it to 1 or more; aps_exact, which starts from these
+    prices, must still match brute force."""
+    rng = random.Random(30)
+    cases = [
+        (Valuation((0, 0, 0)), Rat(1, 3)),
+        (Valuation((0, 0)), Rat(1)),
+        (Valuation((4, 3, 2, 1)), Rat(1)),
+        (Valuation((0, 7, 0)), Rat(1, 2)),
+        (Valuation((7,)), Rat(2, 3)),
+        (Valuation((10, 1, 1)), Rat(1, 2)),
+        (Valuation((9, 5, 1)), Rat(2, 5)),
+        (Valuation((900, 40, 30, 2)), Rat(3, 5)),
+    ]
+    for k in range(300):
+        v = rand_valuation(rng, m_max=9, vmax=6 if k % 2 else 1000)
+        cases.append((v, rand_entitlement(rng, max_den=11)))
+    high_peels = 0
+    for v, b in cases:
+        peeled, costs, scale = shares._tps_prices(v, b)
+        prices = tuple(Rat(c, scale) for c in costs)
+        assert all(x >= 0 for x in prices) and sum(prices) == 1
+        assert check_price_certificate(PriceCertificate(prices, b, math.floor(tps(v, b))), v)
+        _, _, q = shares._peel(v, b)
+        high_peels += bool(peeled) and q <= b.numerator
+        if v.m <= 7:
+            assert aps_exact(v, b).value == aps_brute(v, b)
+    assert high_peels >= 4
+
+
 def test_aps_values_digest_is_pinned():
     """APS values on 200 seeded draws (m <= 8, values 0-6 and 0-1000, b with
     denominators 1-7), pinned as one SHA-256 digest: a rewrite of the search
@@ -527,6 +562,30 @@ def test_aps_certificate_checks_survive_optimize_flag():
     assert proc.stdout.split() == ["raised", "raised"]
 
 
+def test_partition_cap_check_survives_optimize_flag():
+    """A cap below the share contradicts the chain pessimistic <= APS and
+    MMS(k) <= APS(1/k): the partition search must raise at a split worth
+    more, also in a `python -O` interpreter. With the share itself as the
+    cap, the search ends at the first split worth it."""
+    script = (
+        "from fairshare import Rat, Valuation, mms_exact, pessimistic_share_exact\n"
+        "v = Valuation((3, 4, 5, 6, 7, 8, 3, 4, 5, 6))\n"
+        "print(pessimistic_share_exact(v, Rat(2, 5), 20), mms_exact(v, 3, 17))\n"
+        "for call in (lambda: pessimistic_share_exact(v, Rat(2, 5), 0),\n"
+        "             lambda: pessimistic_share_exact(v, Rat(2, 5), 19),\n"
+        "             lambda: mms_exact(v, 3, 15)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except AssertionError as exc:\n"
+        "        print('raised' if 'exceeds its cap' in str(exc) else exc)\n"
+    )
+    paths = [str(Path(fairshare.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["20", "17", "raised", "raised", "raised"]
+
+
 def _affords_at_most(values, prices, budget, bound) -> bool:
     """Whether `check_price_certificate` finds nothing worth more than `bound`
     affordable at `budget` under the non-negative `prices`. The prices and
@@ -553,7 +612,7 @@ def test_subset_state_oracles_match_enumeration():
             subsets += [(s + (j,), p + prices[j], v + values[j]) for s, p, v in subsets]
         total = sum(values)
         for t in (0, total, total + 1, rng.randint(1, max(total, 1)), rng.choice(subsets)[2]):
-            got = _min_price_reaching(values, prices, t, sum(prices) + 1)
+            got = _min_price_reaching(values, prices, t, sum(prices) + 1, guard_limit())
             reaching = [(p, v) for _, p, v in subsets if v >= t]
             if not reaching:
                 assert got is None
@@ -597,7 +656,7 @@ def test_budgeted_oracles_match_enumeration_on_ties():
         total = sum(values)
         for t in (0, 1, total, total + 1, rng.randint(1, max(total, 1)), exact[2]):
             reaching = [(c, v) for _, c, v in subsets if v >= t]
-            unbounded = _min_price_reaching(values, costs, t, total_cost + 1)
+            unbounded = _min_price_reaching(values, costs, t, total_cost + 1, guard_limit())
             if not reaching:
                 assert unbounded is None
                 continue
@@ -606,7 +665,7 @@ def test_budgeted_oracles_match_enumeration_on_ties():
             assert sum(costs[j] for j in bundle) == cost and sum(values[j] for j in bundle) == worth
             for bound in (0, cost, cost + 1, rng.randint(0, total_cost + 1), total_cost + 1):
                 expected = unbounded if cost < bound else None
-                assert _min_price_reaching(values, costs, t, bound) == expected
+                assert _min_price_reaching(values, costs, t, bound, guard_limit()) == expected
 
 
 @pytest.mark.parametrize(
