@@ -348,9 +348,10 @@ def test_witness_support_stays_small():
 
 def test_aps_matches_brute_force_at_both_bracket_ends():
     """The share lies in unit_demand_aps <= APS <= floor(tps). The descent
-    starts at floor(tps) + 1 and takes the certificate and the witness from
-    its last two LPs. The share must match brute force, with checked
-    certificates, also when it sits on either end of that range."""
+    starts from prices that afford nothing above floor(tps), which are the
+    certificate when its first LP reaches 1. The share must match brute
+    force, with checked certificates, also when it sits on either end of
+    that range."""
     rng = random.Random(53)
     cases = [
         (Valuation((4, 3, 2, 1)), Rat(1)),
@@ -407,7 +408,7 @@ def test_tps_start_prices_certify_floor_tps():
         high_peels += bool(peeled) and q <= b.numerator
         if v.m <= 7:
             assert aps_exact(v, b).value == aps_brute(v, b)
-    assert high_peels >= 4
+    assert high_peels == 42
 
 
 def test_aps_values_digest_is_pinned():
