@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -35,11 +34,14 @@ from .core import (
     GuardError,
     InputError,
     Instance,
+    _check_fits,
     _int_from_str,
     _json_array_doc,
     _json_bundles,
     _json_doc,
+    _json_list,
     _json_rats,
+    _json_text,
     parse_instance,
     rat_to_str,
 )
@@ -47,6 +49,7 @@ from .greedy_efx import greedy_efx_full
 from .shares import (
     ApsResult,
     aps_exact,
+    checked_aps,
     mms_exact,
     pessimistic_share_exact,
     proportional_share,
@@ -177,54 +180,89 @@ def cmd_shares(inst: Instance, args) -> tuple[dict, str | None]:
     return {"agents": [_agent_shares(inst, i, notions) for i in indices]}, None
 
 
+def _solve_aps(inst: Instance) -> list[ApsResult]:
+    return [aps_exact(v, b) for v, b in zip(inst.valuations, inst.entitlements)]
+
+
+def _checked_aps_list(inst: Instance, value, path: str) -> list[ApsResult]:
+    """One `checked_aps` entry per agent, in agent order, from the array `value`."""
+    entries = _json_list(value, path)
+    if len(entries) != inst.n:
+        raise InputError(f"{path}: expected {inst.n} entries, one per agent, got {len(entries)}")
+    return [
+        checked_aps(entry, v, b, f"{path}[{i}]")
+        for i, (entry, v, b) in enumerate(zip(entries, inst.valuations, inst.entitlements))
+    ]
+
+
 def cmd_allocate(inst: Instance, args) -> tuple[dict, str | None]:
+    """Build the allocation and its report. Each APS is solved once, after
+    the method's checks of the instance, and serves the split, the report and
+    the `aps` key: every agent's share with its certificate and witness, which
+    `verify` checks instead of solving again."""
     tie_break = _parse_tie_break(args.tie_break, inst.n)
     doc: dict = {"method": args.method}
     if args.method == "bidding":
         transcript = _play(inst, {}, tie_break)
-        alloc = transcript.allocation
-        report = check_allocation(inst, alloc, "arbitrary-entitlements")
+        alloc, bounds = transcript.allocation, "arbitrary-entitlements"
         doc["transcript"] = transcript.to_json_dict()
+        solved = _solve_aps(inst)
     elif args.method == "greedy-efx":
         if not inst.equal_entitlements():
             raise _Mismatch("greedy-efx requires equal entitlements")
-        alloc = greedy_efx_full(inst)
-        report = check_allocation(inst, alloc, "equal-entitlements-gefx")
+        alloc, bounds = greedy_efx_full(inst), "equal-entitlements-gefx"
+        solved = _solve_aps(inst)
     else:
         if inst.n != 2:
             raise _Mismatch("two-agent allocation requires exactly 2 agents")
-        # Each APS is solved once and shared by the split and its check.
-        solved = [aps_exact(v, b) for v, b in zip(inst.valuations, inst.entitlements)]
+        solved = _solve_aps(inst)
         alloc = two_agent_aps_allocation(
             inst.valuations[0], inst.valuations[1], inst.entitlements[0], inst.entitlements[1], solved
         )
-        report = check_allocation(inst, alloc, "two-agent-aps", solved)
+        bounds = "two-agent-aps"
+    report = check_allocation(inst, alloc, bounds, solved)
     doc["allocation"] = [list(b) for b in alloc.bundles]
     doc["report"] = report.to_json_dict()
+    doc["aps"] = [_aps_share(res) for res in solved]
     return doc, None if report.all_passed else "allocation failed its guarantee bounds"
 
 
 def cmd_verify(inst: Instance, args) -> tuple[dict, str | None]:
-    alloc = Allocation(_json_array_doc(_read(args.allocation), "allocation", _json_bundles))
-    doc: dict = {"allocation": [list(b) for b in alloc.bundles]}
+    """Re-check an allocation against a bound set, a price equilibrium, or both.
+
+    The allocation file is a bare array of bundles or an object holding them
+    under `allocation`. When the object also holds `aps`, as `allocate`
+    writes it, each agent's entry is checked by `checked_aps` and no APS is
+    solved; a certificate that does not check is an InputError. Otherwise
+    each APS the checks read is solved. The document is the same either way.
+    """
+    doc = _json_doc(_read(args.allocation), "allocation")
+    alloc = Allocation(_json_array_doc(doc, "allocation", _json_bundles))
+    out: dict = {"allocation": [list(b) for b in alloc.bundles]}
     failed = False
-    solved = None
+    prices = None
     if args.ce is not None:
-        prices = _json_array_doc(_read(args.ce), "prices", _json_rats)
-        if args.bounds is not None:
-            # Both checks read every agent's APS: solve each once, after the
-            # input checks, so that malformed input is reported as such.
+        prices = _json_array_doc(_json_doc(_read(args.ce), "prices"), "prices", _json_rats)
+    solved = None
+    certified = isinstance(doc, dict) and "aps" in doc
+    if certified or (prices is not None and args.bounds is not None):
+        # The checks of the input come first, so that malformed input is
+        # reported as such; then every check reads one result per agent.
+        if prices is not None:
             _check_ce_inputs(inst, alloc, prices)
-            solved = [aps_exact(v, b) for v, b in zip(inst.valuations, inst.entitlements)]
+        else:
+            _check_fits(inst, alloc)
+        solved = _checked_aps_list(inst, doc["aps"], "aps") if certified else _solve_aps(inst)
+    if prices is not None:
         ok = check_ce(inst, alloc, prices, solved)
-        doc["ce"] = ok
+        out["ce"] = ok
         failed = failed or not ok
     if args.bounds is not None or args.ce is None:
         bounds = args.bounds or "arbitrary-entitlements"
         report = check_allocation(inst, alloc, bounds, solved)
-        doc["bounds"] = report.to_json_dict()
+        out["bounds"] = report.to_json_dict()
         failed = failed or not report.all_passed
-    return doc, "verification failed" if failed else None
+    return out, "verification failed" if failed else None
 
 
 def cmd_game(inst: Instance, args) -> tuple[dict, str | None]:
@@ -302,7 +340,7 @@ def _write_transcript(path: str | None, transcript: GameTranscript) -> None:
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(transcript.to_json_dict(), fh, indent=2)
+            fh.write(_json_text(transcript.to_json_dict()))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
 
@@ -360,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 3 if isinstance(exc, GuardError) else 4
     try:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_text(doc) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone. Point stdout at the null device, so that the

@@ -8,7 +8,8 @@ Every input document (instance, allocation, prices, the APS certificates and
 bidding transcripts) is read through the `_json_*` readers here, one per JSON
 shape, so each shape is checked one way and every fault raises `InputError`
 naming its field path. A rational is a `"p/q"` or integer string of ASCII
-digits, or a JSON integer.
+digits, or a JSON integer. Every output document is written by `_json_text`,
+which gives the bytes of `json.dumps(doc, indent=2)`.
 """
 
 from __future__ import annotations
@@ -63,12 +64,18 @@ def rat_to_str(r: Rat) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
+# The strict wire format of a rational: optional sign, ASCII digits, optional
+# /digits; no decimals. The groups are the numerator and the denominator.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat_from_str(text: str, path: str = "value") -> Rat:
-    # strict wire format: optional sign, digits, optional /digits; no decimals
-    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", text):
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise InputError(f"{path}: not a rational 'p/q' or integer string: {text!r}")
+    num, den = match.groups()
     try:
-        return Rat(text)
+        return Rat(int(num), 1 if den is None else int(den))
     except ZeroDivisionError:
         raise InputError(f"{path}: not a rational 'p/q' or integer string: {text!r}") from None
     except ValueError as exc:
@@ -79,7 +86,8 @@ def rat_from_str(text: str, path: str = "value") -> Rat:
 def _int_from_str(text: str) -> int:
     """`int(text)` for ASCII digits only, as `rat_from_str` reads them; raises
     ValueError, as `int` does, on anything else."""
-    if not re.fullmatch(r"-?[0-9]+", text):
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match.group(2) is not None:
         raise ValueError(f"not an integer string: {text!r}")
     return int(text)
 
@@ -92,10 +100,9 @@ def _json_doc(text: str, what: str):
         raise InputError(f"{what}: malformed JSON: {exc}") from None
 
 
-def _json_array_doc(text: str, key: str, read):
-    """`read(array, key)` for a document that is a bare array or an object
-    holding it under `key`."""
-    doc = _json_doc(text, key)
+def _json_array_doc(doc, key: str, read):
+    """`read(array, key)` for the parsed document `doc`, a bare array or an
+    object holding it under `key`."""
     return read(doc.get(key) if isinstance(doc, dict) else doc, key)
 
 
@@ -142,6 +149,40 @@ _json_items = _json_each(_json_int)
 _json_bundles = _json_each(_json_items)
 _json_rats = _json_each(_json_rat)
 _json_strs = _json_each(_json_str)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for the documents the
+    package writes: dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else, floats included, raises TypeError. `newline` opens
+    each line at the depth of `value` itself."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        fields = [_escape(key) + ": " + _json_text(x, inner) for key, x in value.items()]
+        return "{" + inner + ("," + inner).join(fields) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -289,7 +330,7 @@ def serialize_instance(inst: Instance) -> str:
             for i in range(inst.n)
         ],
     }
-    return json.dumps(doc, indent=2)
+    return _json_text(doc)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ MMS, l-out-of-d, pessimistic) return ints; the scale-dependent ones
 `aps_exact` returns the share value together with two independently
 checkable certificates: a price vector proving the upper bound and a
 weighted bundle collection proving the lower bound. Their JSON forms are
-read back through the wire-format readers of `core`, as every input is.
+read back through the wire-format readers of `core`, as every input is, and
+`checked_aps` turns such a pair back into the share without solving.
 
 The partition shares (MMS, l-out-of-d, pessimistic, WMMS) are one branch
 and bound, `_partition_search`; each picks the integer bundle weights, how
@@ -375,11 +376,12 @@ class PriceCertificate:
         }
 
     @staticmethod
-    def from_json_dict(doc: dict) -> "PriceCertificate":
+    def from_json_dict(doc: dict, at: str = "") -> "PriceCertificate":
+        """The certificate `doc`, read at field path `at`."""
         return PriceCertificate(
-            _json_field(doc, "prices", _json_rats),
-            _json_field(doc, "budget", _json_rat),
-            _json_field(doc, "value_bound", _json_int),
+            _json_field(doc, "prices", _json_rats, at),
+            _json_field(doc, "budget", _json_rat, at),
+            _json_field(doc, "value_bound", _json_int, at),
         )
 
 
@@ -400,11 +402,12 @@ class BundleWitness:
         }
 
     @staticmethod
-    def from_json_dict(doc: dict) -> "BundleWitness":
+    def from_json_dict(doc: dict, at: str = "") -> "BundleWitness":
+        """The witness `doc`, read at field path `at`."""
         return BundleWitness(
-            tuple(tuple(sorted(s)) for s in _json_field(doc, "sets", _json_bundles)),
-            _json_field(doc, "weights", _json_rats),
-            _json_field(doc, "value_floor", _json_int),
+            tuple(tuple(sorted(s)) for s in _json_field(doc, "sets", _json_bundles, at)),
+            _json_field(doc, "weights", _json_rats, at),
+            _json_field(doc, "value_floor", _json_int, at),
         )
 
 
@@ -452,6 +455,36 @@ def check_bundle_witness(wit: BundleWitness, valuation: Valuation, b: Rat) -> bo
             coverage[j] += w
     cap = b.numerator * (scale // b.denominator)
     return all(c <= cap for c in coverage)
+
+
+def checked_aps(doc, valuation: Valuation, b: Rat, at: str = "aps") -> ApsResult:
+    """The APS that the JSON entry `doc` at field path `at` proves for
+    `valuation` at entitlement `b`, without the threshold descent.
+
+    `doc` is `{"value", "certificate", "witness"}`, as `shares` and
+    `allocate` write `aps_exact`'s result. The certificate, at budget b,
+    proves APS <= its `value_bound` and the witness APS >= its `value_floor`
+    (the two definitions of the share, a minimum over prices and a maximum
+    over packings); when both check and both bounds are `value`, the APS is
+    `value`. Any other entry raises InputError naming the field that fails.
+    """
+    value = _json_field(doc, "value", _json_int, at)
+    cert = _json_field(doc, "certificate", PriceCertificate.from_json_dict, at)
+    wit = _json_field(doc, "witness", BundleWitness.from_json_dict, at)
+    if cert.budget != b:
+        raise InputError(
+            f"{at}.certificate.budget: {rat_to_str(cert.budget)} is not the entitlement {rat_to_str(b)}"
+        )
+    if not value == cert.value_bound == wit.value_floor:
+        raise InputError(
+            f"{at}.value: {value}, certificate.value_bound {cert.value_bound} "
+            f"and witness.value_floor {wit.value_floor} differ"
+        )
+    if not check_price_certificate(cert, valuation):
+        raise InputError(f"{at}.certificate: does not prove APS <= {value}")
+    if not check_bundle_witness(wit, valuation, b):
+        raise InputError(f"{at}.witness: does not prove APS >= {value}")
+    return ApsResult(value, cert, wit)
 
 
 def _threshold_price_lp(

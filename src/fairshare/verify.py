@@ -91,7 +91,9 @@ def check_allocation(
 
     A zero threshold is a vacuous pass. Shares that exceed their size guard
     are reported as None and excluded from the threshold. `solved` holds each
-    agent's `aps_exact` result when the caller has them already. The
+    agent's APS result when the caller has them already: from `aps_exact`,
+    or read back from its certificates by `shares.checked_aps`, as `verify`
+    does for an `allocate` document; only the values are read. The
     pessimistic share is reported, not used by any threshold; each agent's
     APS caps its search, which stops at the first split worth the APS.
     """

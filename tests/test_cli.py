@@ -224,8 +224,9 @@ def test_allocate_two_agent(tmp_path, capsys):
 
 
 def test_allocate_two_agent_solves_each_aps_once(tmp_path, capsys, monkeypatch):
-    # The split and its check share one aps_exact result per agent; the
-    # document equals the one the library gives when each solves its own.
+    # The split, its check and the `aps` proofs share one aps_exact result
+    # per agent; the document equals the one the library gives when each
+    # solves its own.
     rng = random.Random(5)
     doc = {"agents": [{"entitlement": b, "values": [rng.randint(0, 20) for _ in range(8)]} for b in ("2/5", "3/5")]}
     path = write(tmp_path, "two.json", doc)
@@ -236,6 +237,10 @@ def test_allocate_two_agent_solves_each_aps_once(tmp_path, capsys, monkeypatch):
         "method": "two-agent",
         "allocation": [list(b) for b in alloc.bundles],
         "report": fairshare.verify.check_allocation(inst, alloc, "two-agent-aps").to_json_dict(),
+        "aps": [
+            fairshare.cli._aps_share(fairshare.shares.aps_exact(v, b))
+            for v, b in zip(inst.valuations, inst.entitlements)
+        ],
     }
     calls = []
     real = fairshare.shares.aps_exact
@@ -370,6 +375,168 @@ def test_verify_ce_checks_its_input_before_solving(tmp_path, capsys, monkeypatch
         for extra in ([], ["--bounds", "arbitrary-entitlements"]):
             code, out, err = run_cli(capsys, argv + extra)
             assert (code, out, err.strip()) == (2, None, message), extra
+
+
+def _count_aps_calls(monkeypatch) -> list:
+    """The entitlement of every `aps_exact` call from now on, in order."""
+    calls = []
+    real = fairshare.shares.aps_exact
+
+    def counted(valuation, b):
+        calls.append(b)
+        return real(valuation, b)
+
+    for module in (fairshare.cli, fairshare.shares, fairshare.verify):
+        monkeypatch.setattr(module, "aps_exact", counted)
+    return calls
+
+
+def test_verify_checks_the_proofs_of_allocate_instead_of_solving(tmp_path, capsys, monkeypatch):
+    # verify of an allocate document reads every APS from its `aps` proofs,
+    # and of the bare allocation solves each once; both write one document.
+    doc = {"agents": [{"entitlement": "1/2", "values": [1, 1, 0, 0]}, {"entitlement": "1/2", "values": [0, 0, 1, 1]}]}
+    inst_path = write(tmp_path, "inst.json", doc)
+    prices_path = write(tmp_path, "prices.json", ["1/4"] * 4)
+    calls = _count_aps_calls(monkeypatch)
+    for method in ("bidding", "greedy-efx", "two-agent"):
+        code, allocated, _ = run_cli(capsys, ["allocate", inst_path, "--method", method])
+        assert code == 0 and calls == [Fraction(1, 2)] * 2, method
+        assert [entry["value"] for entry in allocated["aps"]] == [1, 1]
+        certified = write(tmp_path, "certified.json", allocated)
+        bare = write(tmp_path, "bare.json", allocated["allocation"])
+        for extra in ([], ["--bounds", "two-agent-aps"], ["--ce", prices_path, "--bounds", "arbitrary-entitlements"]):
+            outputs = []
+            for path, solves in ((certified, 0), (bare, 2)):
+                calls.clear()
+                outputs.append((main(["verify", inst_path, path, *extra]), capsys.readouterr()))
+                assert len(calls) == solves, (method, extra, path)
+            assert outputs[0] == outputs[1], (method, extra)
+            # The equilibrium holds where each agent holds her two items.
+            ce = allocated["allocation"] == [[0, 1], [2, 3]] or "--ce" not in extra
+            assert outputs[0][0] == (0 if ce else 1), (method, extra)
+        calls.clear()
+
+
+# Rows of a forged `aps` key: an edit of the allocate document's `aps` list
+# and the error line verify gives. The base is `allocate --method two-agent`
+# on BASE_EXAMPLE; agent 1's APS is 3, and its first witness set, worth 3,
+# falls below that when it loses an item.
+def _move_item(aps):
+    sets = aps[1]["witness"]["sets"]
+    sets[1].append(sets[0].pop(0))
+
+
+def _add(field, delta):
+    def edit(aps):
+        *path, key = field
+        node = aps[1]
+        for k in path:
+            node = node[k]
+        node[key] = f"{Fraction(node[key]) + delta}" if isinstance(node[key], str) else node[key] + delta
+    return edit
+
+
+def _drop_bundle(aps):
+    del aps[1]["witness"]["sets"][-1], aps[1]["witness"]["weights"][-1]
+
+
+def _lower_all(aps):
+    for edit in (_add(("value",), -1), _add(("certificate", "value_bound"), -1), _add(("witness", "value_floor"), -1)):
+        edit(aps)
+
+
+def _set_budget(aps):
+    aps[1]["certificate"]["budget"] = "2/5"
+
+
+FORGED_APS = [
+    ("price", _add(("certificate", "prices", 0), 1), "aps[1].certificate: does not prove APS <= 3"),
+    ("weight", _add(("witness", "weights", 0), Fraction(1, 10)), "aps[1].witness: does not prove APS >= 3"),
+    ("dropped bundle", _drop_bundle, "aps[1].witness: does not prove APS >= 3"),
+    ("moved item", _move_item, "aps[1].witness: does not prove APS >= 3"),
+    ("budget", _set_budget, "aps[1].certificate.budget: 2/5 is not the entitlement 3/5"),
+    ("entry count", lambda aps: aps.pop(), "aps: expected 2 entries, one per agent, got 1"),
+    ("value raised", _add(("value",), 1),
+     "aps[1].value: 4, certificate.value_bound 3 and witness.value_floor 3 differ"),
+    ("all lowered", _lower_all, "aps[1].certificate: does not prove APS <= 2"),
+    ("missing witness", lambda aps: aps[1].pop("witness"), "aps[1].witness: missing"),
+    ("decimal price", lambda aps: aps[1]["certificate"]["prices"].__setitem__(0, "0.4"),
+     "aps[1].certificate.prices[0]: not a rational 'p/q' or integer string: '0.4'"),
+]
+
+
+def _forged_allocation(tmp_path, capsys, edit) -> tuple[str, str]:
+    """The BASE_EXAMPLE instance path and its two-agent allocate document,
+    written with `edit` applied to its `aps` list."""
+    inst_path = write(tmp_path, "two.json", BASE_EXAMPLE)
+    code, doc, _ = run_cli(capsys, ["allocate", inst_path, "--method", "two-agent"])
+    assert code == 0 and doc["aps"][1]["value"] == 3
+    edit(doc["aps"])
+    return inst_path, write(tmp_path, "forged.json", doc)
+
+
+@pytest.mark.parametrize("label, edit, message", FORGED_APS, ids=[row[0] for row in FORGED_APS])
+def test_verify_refuses_forged_aps_proofs(tmp_path, capsys, label, edit, message):
+    inst_path, forged = _forged_allocation(tmp_path, capsys, edit)
+    for extra in ([], ["--bounds", "two-agent-aps"]):
+        code, out, err = run_cli(capsys, ["verify", inst_path, forged, *extra])
+        assert (code, out, err) == (2, None, f"error: {message}\n"), extra
+
+
+def test_forged_aps_is_refused_under_optimize_flag(tmp_path, capsys):
+    # The understated APS, in a `python -O` interpreter: the check is no
+    # assert, and the forged cap never reaches the partition search.
+    label, edit, message = FORGED_APS[-3]
+    assert label == "all lowered"
+    inst_path, forged = _forged_allocation(tmp_path, capsys, edit)
+    env = {**os.environ, "PYTHONPATH": str(Path(fairshare.cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "fairshare.cli", "verify", inst_path, forged],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_every_document_is_written_as_json_dumps_writes_it(tmp_path, capsys):
+    # Seeded runs of every command, with agent names that need escaping:
+    # stdout, and the transcript file, hold the bytes of json.dumps(indent=2).
+    rng = random.Random(11)
+    names = ['say "hi"', "back\\slash", "\x00\x1f\t", "caf\u00e9", "\U0001f600"]
+    for trial in range(6):
+        n, m = rng.randint(2, 3), rng.randint(0, 5)
+        equal = trial % 2 == 0
+        entitlements = [f"1/{n}"] * n if equal else {2: ["1/6", "5/6"], 3: ["1/6", "1/3", "1/2"]}[n]
+        agents = [
+            {"name": names[(trial + i) % len(names)], "entitlement": b, "values": [rng.randint(0, 6) for _ in range(m)]}
+            for i, b in enumerate(entitlements)
+        ]
+        doc = {"agents": agents}
+        inst = write(tmp_path, "inst.json", doc)
+        transcript = str(tmp_path / "transcript.json")
+        argvs = [
+            ["shares", inst, "--notions", ",".join(fairshare.cli.NOTIONS)],
+            ["game", inst, "--transcript", transcript],
+            ["game", inst, "--replay", transcript],
+            ["game", inst, "--focal", "1", "--adversary", "worst"],
+            ["allocate", inst, "--method", "bidding"],
+        ]
+        if equal:
+            argvs.append(["allocate", inst, "--method", "greedy-efx"])
+        if n == 2:
+            argvs.append(["allocate", inst, "--method", "two-agent"])
+        for argv in argvs:
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert code in (0, 1), argv
+            assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv
+            if argv[0] == "allocate":
+                certified = write(tmp_path, "certified.json", json.loads(out))
+                main(["verify", inst, certified])
+                out = capsys.readouterr().out
+                assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv
+            if argv[-2:] == ["--transcript", transcript]:
+                text = Path(transcript).read_text(encoding="utf-8")
+                assert json.dumps(json.loads(text), indent=2) == text
 
 
 def test_decimal_fields_render_values_beyond_float_range(tmp_path, capsys):

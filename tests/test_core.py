@@ -20,7 +20,7 @@ from fairshare import (
     rat_to_str,
     serialize_instance,
 )
-from fairshare.core import check_entitlement
+from fairshare.core import _json_text, check_entitlement
 
 from helpers import rand_instance
 
@@ -124,6 +124,44 @@ def test_serialize_parse_round_trip():
         inst = rand_instance(rng, rng.randint(1, 4), rng.randint(1, 6))
         back = parse_instance(serialize_instance(inst))
         assert back == inst
+
+
+# Agent names that the JSON writer must escape: quote, backslash, control
+# characters, non-ASCII text, a character outside the BMP and a lone surrogate.
+AWKWARD_NAMES = ('say "hi"', "back\\slash", "\x00\x01\x1f\x7f\t\n\r", "caf\u00e9 \u2028", "\U0001f600", "\ud800")
+
+
+def test_json_text_matches_json_dumps_on_edge_documents():
+    docs = [
+        [],
+        {},
+        [[]],
+        [{}],
+        {"a": [], "b": {}},
+        [[], {}, [[], [{}]], {"x": [[]]}],
+        10**309,
+        -(10**309),
+        [0, -1, True, False, None],
+        {"names": list(AWKWARD_NAMES), "nested": {"deep": [{"x": [None, True, False, 10**309]}]}},
+        {name: [name] for name in AWKWARD_NAMES},
+        (1, (2, (3,)), ()),
+        {"": ""},
+        "plain",
+    ]
+    for doc in docs:
+        assert _json_text(doc) == json.dumps(doc, indent=2), doc
+    n = len(AWKWARD_NAMES)
+    inst = make_instance([[1, 2]] * n, [Rat(1, n)] * n, list(AWKWARD_NAMES))
+    text = serialize_instance(inst)
+    assert text == json.dumps(json.loads(text), indent=2)
+    assert parse_instance(text) == inst
+
+
+def test_json_text_refuses_what_json_dumps_would_change():
+    # Floats (no output rational is one), non-str keys and other types.
+    for doc in (0.5, [1, 2.0], {"a": float("nan")}, {1: 2}, {None: 1}, {1, 2}, Rat(1, 2), b"x"):
+        with pytest.raises(TypeError):
+            _json_text(doc)
 
 
 def test_allocation_sorts_and_validates():

@@ -715,6 +715,20 @@ def test_certificate_json_round_trip():
     assert wit == res.witness
 
 
+def test_checked_aps_reads_back_the_solved_share():
+    # The JSON form of every seeded aps_exact result checks, read at its
+    # field path, as the same result; a zero-item row and b = 1 included.
+    rng = random.Random(43)
+    draws = [(Valuation(()), Rat(1, 3)), (base_valuation(), Rat(1))]
+    draws += [(rand_valuation(rng, m_max=7, m_min=0), rand_entitlement(rng)) for _ in range(40)]
+    for v, b in draws:
+        res = aps_exact(v, b)
+        doc = {"value": res.value, "certificate": res.certificate.to_json_dict(), "witness": res.witness.to_json_dict()}
+        assert shares.checked_aps(doc, v, b, "aps[0]") == res
+    with pytest.raises(InputError, match=r"^aps\[2\]\.certificate\.prices: missing$"):
+        shares.checked_aps({"value": 0, "certificate": {}, "witness": {}}, base_valuation(), Rat(1, 2), "aps[2]")
+
+
 def test_share_chain_random():
     rng = random.Random(41)
     for _ in range(40):
