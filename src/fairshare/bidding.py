@@ -47,10 +47,10 @@ from .core import (
     Rat,
     Valuation,
     _json_bundles,
+    _json_each,
     _json_field,
     _json_int,
     _json_items,
-    _json_list,
     _json_rat,
     _json_rats,
     _json_strs,
@@ -160,23 +160,22 @@ class GameTranscript:
         }
 
     @staticmethod
-    def from_json_dict(doc: dict) -> "GameTranscript":
-        """Parse `to_json_dict` output. Item indices and winners must be JSON
-        integers, bids and payments rationals, flags strings; anything else
-        raises InputError naming the field."""
-        rounds = []
-        for t, r in enumerate(_json_field(doc, "rounds", _json_list)):
-            at = f"rounds[{t}]"
-            rounds.append(
-                RoundRecord(
-                    bids=_json_field(r, "bids", _json_rats, at),
-                    winner=_json_field(r, "winner", _json_int, at),
-                    taken=tuple(sorted(_json_field(r, "taken", _json_items, at))),
-                    payment=_json_field(r, "payment", _json_rat, at),
-                )
+    def from_json_dict(doc: dict, at: str = "") -> "GameTranscript":
+        """Parse `to_json_dict` output, read at field path `at`. Item indices
+        and winners must be JSON integers, bids and payments rationals, flags
+        strings; anything else raises InputError naming the field."""
+
+        def read_round(r, where: str) -> RoundRecord:
+            return RoundRecord(
+                bids=_json_field(r, "bids", _json_rats, where),
+                winner=_json_field(r, "winner", _json_int, where),
+                taken=tuple(sorted(_json_field(r, "taken", _json_items, where))),
+                payment=_json_field(r, "payment", _json_rat, where),
             )
-        alloc = Allocation(_json_field(doc, "allocation", _json_bundles))
-        return GameTranscript(tuple(rounds), alloc, _json_strs(doc.get("flags", []), "flags"))
+
+        rounds = _json_field(doc, "rounds", _json_each(read_round), at)
+        alloc = Allocation(_json_field(doc, "allocation", _json_bundles, at))
+        return GameTranscript(rounds, alloc, _json_strs(doc.get("flags", []), f"{at}.flags" if at else "flags"))
 
 
 def _pick_winner(bids: Sequence[Rat], avoid) -> int:
@@ -844,10 +843,10 @@ def meta_strategy(valuation: Valuation, b: Rat) -> Strategy:
     return STRATEGIES[max(g, key=g.get)](valuation, b, z)
 
 
-# Every strategy by name, as a builder (valuation, b, z) -> Strategy; z is a
-# target, or None for the strategies that need none or find their own. Each
-# builds its class directly. The builders look `meta_strategy` and
-# `best_good_z` up when called, so a rebound one is used.
+# Every strategy by name, as a function (valuation, b, z) -> Strategy. Only the
+# `TARGETED` ones read z, a target or None where they find their own. Each
+# builds its class directly, and looks `meta_strategy` and `best_good_z` up
+# when called, so a rebound one is used.
 STRATEGIES = {
     "meta": lambda v, b, z: meta_strategy(v, b),
     "tps": lambda v, b, z: _TpsStrategy(v),
@@ -859,3 +858,6 @@ STRATEGIES = {
     "aps35-alt": lambda v, b, z: _Aps35Strategy(v, b, best_good_z(v, b) if z is None else z, eight_fifteenths=True),
     "lemma34": _Lemma34Strategy,
 }
+
+# The strategies that read z; `--strategies` refuses a target for any other.
+TARGETED = ("aps35", "aps35-alt", "lemma34")

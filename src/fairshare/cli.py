@@ -22,6 +22,7 @@ import sys
 
 from .bidding import (
     STRATEGIES,
+    TARGETED,
     GameTranscript,
     avoided_agent,
     enumerate_win_patterns,
@@ -36,12 +37,12 @@ from .core import (
     Instance,
     _check_fits,
     _int_from_str,
-    _json_array_doc,
     _json_bundles,
     _json_doc,
     _json_list,
     _json_rats,
     _json_text,
+    _json_unwrap,
     parse_instance,
     rat_to_str,
 )
@@ -118,6 +119,8 @@ def _parse_strategy_specs(text: str | None, n: int) -> dict[int, tuple[str, int 
             raise InputError(
                 f"strategies: unknown strategy {name!r}, expected one of {', '.join(STRATEGIES)}"
             )
+        if z is not None and name not in TARGETED:
+            raise InputError(f"strategies: {name} takes no target, got {right!r} for agent {agent}")
         specs[agent] = (name, z)
     return specs
 
@@ -126,21 +129,13 @@ def _parse_strategy_specs(text: str | None, n: int) -> dict[int, tuple[str, int 
 # Subcommands.
 
 
-def _aps_share(res: ApsResult) -> dict:
-    return {
-        "value": res.value,
-        "certificate": res.certificate.to_json_dict(),
-        "witness": res.witness.to_json_dict(),
-    }
-
-
 # Every notion `shares` accepts, as a builder (valuation, entitlement,
 # instance, agent, APS result or None) -> JSON value. The builders look the
 # solvers up when called, so a rebound solver is used.
 NOTIONS = {
     "proportional": lambda v, b, inst, i, aps: rat_to_str(proportional_share(v, b)),
     "tps": lambda v, b, inst, i, aps: rat_to_str(tps(v, b)),
-    "aps": lambda v, b, inst, i, aps: _aps_share(aps),
+    "aps": lambda v, b, inst, i, aps: aps.to_json_dict(),
     "pessimistic": lambda v, b, inst, i, aps: pessimistic_share_exact(v, b, aps.value if aps else None),
     "mms": lambda v, b, inst, i, aps: mms_exact(v, inst.n, aps.value if aps and b * inst.n == 1 else None),
     "wmms": lambda v, b, inst, i, aps: rat_to_str(wmms_exact(inst.entitlements, i, v)),
@@ -201,21 +196,19 @@ def cmd_allocate(inst: Instance, args) -> tuple[dict, str | None]:
     the `aps` key: every agent's share with its certificate and witness, which
     `verify` checks instead of solving again."""
     tie_break = _parse_tie_break(args.tie_break, inst.n)
+    if args.method == "greedy-efx" and not inst.equal_entitlements():
+        raise _Mismatch("greedy-efx requires equal entitlements")
+    if args.method == "two-agent" and inst.n != 2:
+        raise _Mismatch("two-agent allocation requires exactly 2 agents")
+    solved = _solve_aps(inst)
     doc: dict = {"method": args.method}
     if args.method == "bidding":
         transcript = _play(inst, {}, tie_break)
         alloc, bounds = transcript.allocation, "arbitrary-entitlements"
         doc["transcript"] = transcript.to_json_dict()
-        solved = _solve_aps(inst)
     elif args.method == "greedy-efx":
-        if not inst.equal_entitlements():
-            raise _Mismatch("greedy-efx requires equal entitlements")
         alloc, bounds = greedy_efx_full(inst), "equal-entitlements-gefx"
-        solved = _solve_aps(inst)
     else:
-        if inst.n != 2:
-            raise _Mismatch("two-agent allocation requires exactly 2 agents")
-        solved = _solve_aps(inst)
         alloc = two_agent_aps_allocation(
             inst.valuations[0], inst.valuations[1], inst.entitlements[0], inst.entitlements[1], solved
         )
@@ -223,7 +216,7 @@ def cmd_allocate(inst: Instance, args) -> tuple[dict, str | None]:
     report = check_allocation(inst, alloc, bounds, solved)
     doc["allocation"] = [list(b) for b in alloc.bundles]
     doc["report"] = report.to_json_dict()
-    doc["aps"] = [_aps_share(res) for res in solved]
+    doc["aps"] = [res.to_json_dict() for res in solved]
     return doc, None if report.all_passed else "allocation failed its guarantee bounds"
 
 
@@ -237,12 +230,12 @@ def cmd_verify(inst: Instance, args) -> tuple[dict, str | None]:
     each APS the checks read is solved. The document is the same either way.
     """
     doc = _json_doc(_read(args.allocation), "allocation")
-    alloc = Allocation(_json_array_doc(doc, "allocation", _json_bundles))
+    alloc = Allocation(_json_unwrap(doc, "allocation", _json_bundles))
     out: dict = {"allocation": [list(b) for b in alloc.bundles]}
     failed = False
     prices = None
     if args.ce is not None:
-        prices = _json_array_doc(_json_doc(_read(args.ce), "prices"), "prices", _json_rats)
+        prices = _json_unwrap(_json_doc(_read(args.ce), "prices"), "prices", _json_rats)
     solved = None
     certified = isinstance(doc, dict) and "aps" in doc
     if certified or (prices is not None and args.bounds is not None):
@@ -266,12 +259,17 @@ def cmd_verify(inst: Instance, args) -> tuple[dict, str | None]:
 
 
 def cmd_game(inst: Instance, args) -> tuple[dict, str | None]:
+    """Play a game, sweep the focal agent over concession patterns
+    (`--adversary`), or check every round of a transcript on the instance
+    (`--replay`): a bare one, or the one a document holds under `transcript`,
+    as every played mode and `allocate --method bidding` write it."""
     if args.replay is not None:
         # A replay plays nothing, so the options of the other modes are refused.
-        for option in ("adversary", "focal", "strategies", "tie_break", "transcript"):
+        for option in ("adversary", "focal", "strategies", "tie_break"):
             if getattr(args, option) is not None:
                 raise InputError(f"--{option.replace('_', '-')}: not used with --replay")
-        transcript = GameTranscript.from_json_dict(_json_doc(_read(args.replay), "transcript"))
+        doc = _json_doc(_read(args.replay), "transcript")
+        transcript = _json_unwrap(doc, "transcript", GameTranscript.from_json_dict, bare="")
         alloc = replay_transcript(inst, transcript)
         return {"replay": "ok", "allocation": [list(b) for b in alloc.bundles]}, None
     tie_break = _parse_tie_break("lowest" if args.tie_break is None else args.tie_break, inst.n)
@@ -302,7 +300,6 @@ def cmd_game(inst: Instance, args) -> tuple[dict, str | None]:
         t = _play(inst, specs, tie_break)
         doc = {"allocation": [list(b) for b in t.allocation.bundles]}
     doc["transcript"] = t.to_json_dict()
-    _write_transcript(args.transcript, t)
     return doc, None
 
 
@@ -331,18 +328,6 @@ def _agent_index(text: str) -> int:
 
 # argparse names a bad value by its type's name: "invalid agent index value".
 _agent_index.__name__ = "agent index"
-
-
-def _write_transcript(path: str | None, transcript: GameTranscript) -> None:
-    """Write the transcript to `path`, if given; called before `main` writes
-    the document, so a path that cannot be written leaves stdout empty."""
-    if not path:
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(transcript.to_json_dict()))
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
 
 
 # Built on the first `main` call; parsing leaves it unchanged, so it is reused.
@@ -383,8 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--focal", type=_agent_index, default=None, help="agent under test in adversary mode (default: 0)")
     p.add_argument("--adversary", default=None, help="'worst' or 'pattern:K[,L]'")
     p.add_argument("--tie-break", default=None, help="'lowest' (default) or 'avoid:I'")
-    p.add_argument("--transcript", default=None, metavar="OUT", help="write the transcript JSON here")
-    p.add_argument("--replay", default=None, metavar="FILE", help="validate a transcript against the instance")
+    p.add_argument("--replay", default=None, metavar="FILE", help="check a bare transcript or a game/allocate document")
     p.set_defaults(func=cmd_game)
 
     return parser

@@ -100,10 +100,13 @@ def _json_doc(text: str, what: str):
         raise InputError(f"{what}: malformed JSON: {exc}") from None
 
 
-def _json_array_doc(doc, key: str, read):
-    """`read(array, key)` for the parsed document `doc`, a bare array or an
-    object holding it under `key`."""
-    return read(doc.get(key) if isinstance(doc, dict) else doc, key)
+def _json_unwrap(doc, key: str, read, bare: str | None = None):
+    """`read(value, path)` for the parsed document `doc`, which holds its
+    value bare or under `key`: `doc[key]` at path `key` when `doc` is an
+    object with that key, else `doc` itself at path `bare` (default `key`)."""
+    if isinstance(doc, dict) and key in doc:
+        return read(doc[key], key)
+    return read(doc, key if bare is None else bare)
 
 
 def _json_field(doc, key: str, read, at: str = ""):

@@ -416,6 +416,14 @@ class ApsResult(NamedTuple):
     certificate: PriceCertificate
     witness: BundleWitness
 
+    def to_json_dict(self) -> dict:
+        """The entry `shares` and `allocate` write and `checked_aps` reads."""
+        return {
+            "value": self.value,
+            "certificate": self.certificate.to_json_dict(),
+            "witness": self.witness.to_json_dict(),
+        }
+
 
 def check_price_certificate(cert: PriceCertificate, valuation: Valuation) -> bool:
     """One price per item, none negative, summing to at most 1, and no bundle
@@ -575,7 +583,8 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     which the budget is p * det * m, so each step runs the DP on ints and
     builds no Fraction. The descent stops at t = 0 or at the first t whose
     LP packing reaches 1, which proves APS >= t, so APS = t. An all-zero
-    valuation affords only 0 under the start prices and runs no LP.
+    valuation, one with no items included, affords only 0 under the start
+    prices and runs no LP.
 
     Thresholds only fall, so a bundle found at one is a valid column at
     every later one: the whole call warm-starts one `ColumnLP`. Its first
@@ -596,9 +605,6 @@ def aps_exact(valuation: Valuation, b: Rat) -> ApsResult:
     b = check_entitlement(b)
     m = valuation.m
     values = valuation.item_values
-    if m == 0:
-        return ApsResult(0, PriceCertificate((), b, 0), BundleWitness(((),), (Rat(1),), 0))
-
     limit = guard_limit()
     p, q = b.numerator, b.denominator
     peeled, costs, scale = _tps_prices(valuation, b)

@@ -134,10 +134,9 @@ def test_undecodable_and_overlong_inputs_are_input_errors(tmp_path, capsys):
     long = "1" * (sys.get_int_max_str_digits() + 1)
     inst = write(tmp_path, "inst.json", BASE_EXAMPLE)
     alloc = write(tmp_path, "alloc.json", [[0], [1, 2, 3, 4]])
-    replay = str(tmp_path / "transcript.json")
-    assert run_cli(capsys, ["game", inst, "--strategies", "0=tps,1=tps", "--transcript", replay])[0] == 0
-    with open(replay, encoding="utf-8") as fh:
-        transcript = json.load(fh)
+    code, played, _ = run_cli(capsys, ["game", inst, "--strategies", "0=tps,1=tps"])
+    assert code == 0
+    transcript = played["transcript"]
 
     def raw(name, data):
         path = tmp_path / name
@@ -237,10 +236,7 @@ def test_allocate_two_agent_solves_each_aps_once(tmp_path, capsys, monkeypatch):
         "method": "two-agent",
         "allocation": [list(b) for b in alloc.bundles],
         "report": fairshare.verify.check_allocation(inst, alloc, "two-agent-aps").to_json_dict(),
-        "aps": [
-            fairshare.cli._aps_share(fairshare.shares.aps_exact(v, b))
-            for v, b in zip(inst.valuations, inst.entitlements)
-        ],
+        "aps": [fairshare.shares.aps_exact(v, b).to_json_dict() for v, b in zip(inst.valuations, inst.entitlements)],
     }
     calls = []
     real = fairshare.shares.aps_exact
@@ -499,7 +495,7 @@ def test_forged_aps_is_refused_under_optimize_flag(tmp_path, capsys):
 
 def test_every_document_is_written_as_json_dumps_writes_it(tmp_path, capsys):
     # Seeded runs of every command, with agent names that need escaping:
-    # stdout, and the transcript file, hold the bytes of json.dumps(indent=2).
+    # stdout holds the bytes of json.dumps(indent=2).
     rng = random.Random(11)
     names = ['say "hi"', "back\\slash", "\x00\x1f\t", "caf\u00e9", "\U0001f600"]
     for trial in range(6):
@@ -512,11 +508,11 @@ def test_every_document_is_written_as_json_dumps_writes_it(tmp_path, capsys):
         ]
         doc = {"agents": agents}
         inst = write(tmp_path, "inst.json", doc)
-        transcript = str(tmp_path / "transcript.json")
+        played = str(tmp_path / "game.json")
         argvs = [
             ["shares", inst, "--notions", ",".join(fairshare.cli.NOTIONS)],
-            ["game", inst, "--transcript", transcript],
-            ["game", inst, "--replay", transcript],
+            ["game", inst],
+            ["game", inst, "--replay", played],
             ["game", inst, "--focal", "1", "--adversary", "worst"],
             ["allocate", inst, "--method", "bidding"],
         ]
@@ -529,14 +525,13 @@ def test_every_document_is_written_as_json_dumps_writes_it(tmp_path, capsys):
             out = capsys.readouterr().out
             assert code in (0, 1), argv
             assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv
+            if argv == ["game", inst]:
+                Path(played).write_text(out, encoding="utf-8")
             if argv[0] == "allocate":
                 certified = write(tmp_path, "certified.json", json.loads(out))
                 main(["verify", inst, certified])
                 out = capsys.readouterr().out
                 assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv
-            if argv[-2:] == ["--transcript", transcript]:
-                text = Path(transcript).read_text(encoding="utf-8")
-                assert json.dumps(json.loads(text), indent=2) == text
 
 
 def test_decimal_fields_render_values_beyond_float_range(tmp_path, capsys):
@@ -609,6 +604,7 @@ def test_verify_starved_agent(tmp_path, capsys):
         (["game", "{inst}", "--focal", "9", "--strategies", "0=tps"], "--focal: not used without --adversary"),
         (["shares", "{inst}", "--notions", "aps,mms,aps"], "notions: 'aps' given twice"),
         (["game", "{inst}", "--adversary", "worst", "--strategies", "1=tps"], "--strategies: agent 1 is not the focal agent"),
+        (["shares", "{none}"], "agents: expected at least one agent"),
     ],
 )
 def test_input_error_texts(tmp_path, capsys, argv, message):
@@ -616,6 +612,7 @@ def test_input_error_texts(tmp_path, capsys, argv, message):
         "inst": write(tmp_path, "inst.json", BASE_EXAMPLE),
         "three": write(tmp_path, "three.json", [[0, 1], [2, 3], [4]]),
         "one": write(tmp_path, "one.json", [[0, 1, 2, 3, 4]]),
+        "none": write(tmp_path, "none.json", {"agents": []}),
     }
     try:
         code, out, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
@@ -727,27 +724,36 @@ def test_game_single_pattern(tmp_path, capsys):
 
 
 def test_game_run_and_replay(tmp_path, capsys):
-    inst_path = write(tmp_path, "units.json", FIVE_UNITS)
-    out_path = str(tmp_path / "transcript.json")
-    code, doc, _ = run_cli(
-        capsys, ["game", inst_path, "--strategies", "0=tps,1=tps,2=tps", "--transcript", out_path]
-    )
-    assert code == 0
-    first_alloc = doc["allocation"]
-    code, doc, _ = run_cli(capsys, ["game", inst_path, "--replay", out_path])
-    assert code == 0
-    assert doc["replay"] == "ok"
-    assert doc["allocation"] == first_alloc
-
-
-@pytest.mark.parametrize("mode", [[], ["--adversary", "pattern:1"], ["--adversary", "worst"]])
-def test_game_transcript_path_it_cannot_write(tmp_path, capsys, mode):
+    # `--replay` takes a bare transcript, or a `game` or `allocate --method
+    # bidding` document as it was written, and replays the transcript it
+    # holds as it replays that transcript bare. An adversary's transcript is
+    # a game of the duel instance: the focal agent's values in both rows,
+    # entitlements (b, 1-b).
     units = write(tmp_path, "units.json", FIVE_UNITS)
-    for out in (tmp_path / "missing" / "transcript.json", tmp_path):
-        argv = ["game", units, "--strategies", "0=tps", *mode, "--transcript", str(out)]
-        code, doc, err = run_cli(capsys, argv)
-        assert (code, doc) == (2, None)
-        assert err.startswith(f"error: {out}: ")
+    focal = {"entitlement": "2/7", "values": [4, 1, 3, 0, 2]}
+    other = {"entitlement": "5/7", "values": [0, 2, 2, 1, 5]}
+    pair = write(tmp_path, "pair.json", {"agents": [focal, other]})
+    duel = write(tmp_path, "duel.json", {"agents": [focal, dict(focal, entitlement="5/7")]})
+    cases = [
+        (["game", units, "--strategies", "0=tps,1=tps,2=tps"], units),
+        (["game", pair, "--adversary", "pattern:1"], duel),
+        (["game", pair, "--adversary", "worst"], duel),
+        (["allocate", units, "--method", "bidding"], units),
+    ]
+    for argv, replayed_on in cases:
+        code, doc, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        played = [list(b) for b in GameTranscript.from_json_dict(doc["transcript"]).allocation.bundles]
+        assert doc.get("allocation", played) == played, argv
+        for path in (write(tmp_path, "bare.json", doc["transcript"]), write(tmp_path, "doc.json", doc)):
+            code, out, err = run_cli(capsys, ["game", replayed_on, "--replay", path])
+            assert (code, out, err) == (0, {"replay": "ok", "allocation": played}, ""), argv
+    # A document without a transcript is read as a bare one, and has no rounds.
+    for inst, method in ((units, "greedy-efx"), (pair, "two-agent")):
+        code, doc, _ = run_cli(capsys, ["allocate", inst, "--method", method])
+        assert code == 0, method
+        code, out, err = run_cli(capsys, ["game", inst, "--replay", write(tmp_path, "doc.json", doc)])
+        assert (code, out, err) == (2, None, "error: rounds: missing\n"), method
 
 
 @pytest.mark.parametrize(
@@ -759,20 +765,17 @@ def test_game_transcript_path_it_cannot_write(tmp_path, capsys, mode):
         ["--focal", "9"],
         ["--strategies", "0=tps"],
         ["--tie-break", "lowest"],
-        ["--transcript", "{out}"],
     ],
 )
 def test_game_replay_refuses_the_other_options(tmp_path, capsys, option):
-    # A replay plays no strategy and writes nothing, so an option of the
-    # other modes is refused, naming it, rather than silently ignored.
+    # A replay plays no strategy, so an option of the other modes is
+    # refused, naming it, rather than silently ignored.
     units = write(tmp_path, "units.json", FIVE_UNITS)
-    played = str(tmp_path / "played.json")
-    assert run_cli(capsys, ["game", units, "--transcript", played])[0] == 0
-    out_path = tmp_path / "out.json"
-    argv = ["game", units, "--replay", played, *(arg.format(out=out_path) for arg in option)]
-    code, out, err = run_cli(capsys, argv)
+    code, doc, _ = run_cli(capsys, ["game", units])
+    assert code == 0
+    played = write(tmp_path, "played.json", doc["transcript"])
+    code, out, err = run_cli(capsys, ["game", units, "--replay", played, *option])
     assert (code, out, err) == (2, None, f"error: {option[0]}: not used with --replay\n")
-    assert not out_path.exists()
 
 
 def test_zero_item_instance_commands(tmp_path, capsys):
@@ -800,10 +803,9 @@ def test_zero_item_instance_commands(tmp_path, capsys):
 def test_game_replay_rejects_foreign_transcript(tmp_path, capsys):
     units = write(tmp_path, "units.json", FIVE_UNITS)
     other = write(tmp_path, "other.json", BASE_EXAMPLE)
-    out_path = str(tmp_path / "transcript.json")
-    code, _, _ = run_cli(capsys, ["game", units, "--transcript", out_path])
+    code, doc, _ = run_cli(capsys, ["game", units])
     assert code == 0
-    code, _, err = run_cli(capsys, ["game", other, "--replay", out_path])
+    code, _, err = run_cli(capsys, ["game", other, "--replay", write(tmp_path, "transcript.json", doc["transcript"])])
     assert code == 2
     assert "transcript" in err
 
@@ -842,12 +844,12 @@ def test_transcript_fields_must_have_their_json_types(tmp_path, capsys, key, val
     # bools, and flags a list of strings, as in the share certificates. Bids
     # and payments are rationals: a JSON integer (field None) reads as its
     # integer string does. An allocation file is read as the transcript's
-    # allocation is.
+    # allocation is. Inside a `game` document, the path starts at its
+    # `transcript` key.
     units = write(tmp_path, "units.json", FIVE_UNITS)
-    out_path = str(tmp_path / "transcript.json")
-    assert run_cli(capsys, ["game", units, "--strategies", "0=tps,1=tps,2=tps", "--transcript", out_path])[0] == 0
-    with open(out_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    code, played, _ = run_cli(capsys, ["game", units, "--strategies", "0=tps,1=tps,2=tps"])
+    assert code == 0
+    doc = played["transcript"]
     node = doc
     for k in key[:-1]:
         node = node[k]
@@ -864,6 +866,12 @@ def test_transcript_fields_must_have_their_json_types(tmp_path, capsys, key, val
     code, out, err = run_cli(capsys, ["game", units, "--replay", bad])
     assert (code, out) == (2, None)
     assert f"{field}: expected " in err
+    with pytest.raises(InputError) as exc:
+        GameTranscript.from_json_dict(doc, "transcript")
+    assert str(exc.value).startswith(f"transcript.{field}: expected ")
+    code, out, err = run_cli(capsys, ["game", units, "--replay", write(tmp_path, "game.json", played)])
+    assert (code, out) == (2, None)
+    assert err.startswith(f"error: transcript.{field}: expected ")
     if key[0] == "allocation":
         code, out, err = run_cli(capsys, ["verify", units, write(tmp_path, "alloc.json", doc["allocation"])])
         assert (code, out) == (2, None)
@@ -916,6 +924,15 @@ def test_game_strategy_spec_errors(tmp_path, capsys):
         assert code == 2
         assert "strategies" in err
     assert "strategies: agent 0 given twice" in err
+    # Only aps35, aps35-alt and lemma34 read a target; any other strategy
+    # refuses one instead of dropping it.
+    for agent, name, target in ((0, "tps", "5"), (1, "meta", "3"), (0, "rank", "-7"), (0, "zero", "1"),
+                                (1, "maxval", "2"), (0, "maxval-tps", "2")):
+        code, out, err = run_cli(capsys, ["game", inst_path, "--strategies", f"{agent}={name}:{target}"])
+        assert (code, out) == (2, None), name
+        assert err == f"error: strategies: {name} takes no target, got '{name}:{target}' for agent {agent}\n"
+    code, doc, _ = run_cli(capsys, ["game", inst_path, "--strategies", "0=aps35:2"])
+    assert code == 0 and doc["allocation"]
 
 
 def test_game_explicit_target_accepted(tmp_path, capsys):

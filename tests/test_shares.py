@@ -192,7 +192,8 @@ def test_aps_zero_instances():
 
 
 def test_aps_on_no_items():
-    # The one early return of `aps_exact`: nothing to price or pack.
+    # Nothing to price or pack: the start prices are empty, nothing is worth
+    # more than 0, and the descent stops before any LP.
     empty = Valuation(())
     for b in (Rat(1), Rat(2, 5), Rat(1, 7)):
         res = aps_exact(empty, b)

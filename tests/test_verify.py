@@ -128,6 +128,10 @@ def test_pessimistic_share_excluded_when_guarded_on_twelve_items(monkeypatch):
     report = check_allocation(inst, alloc, "arbitrary-entitlements")
     assert [a.shares["pessimistic"] for a in report.agents] == [None, None]
     assert [a.shares["aps"] for a in report.agents] == [26, 39]
+    # The written report keeps the share's key, as null.
+    doc = report.to_json_dict()
+    assert [a["shares"]["pessimistic"] for a in doc["agents"]] == [None, None]
+    assert [a["shares"]["aps"] for a in doc["agents"]] == [26, 39]
 
 
 def test_pessimistic_share_solves_under_the_default_guard():
