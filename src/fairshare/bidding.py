@@ -88,7 +88,9 @@ class Strategy:
     A clone taken at any point, mid-game included, must continue exactly as
     the original would from there: the adversary sweep clones a strategy
     after its bid in a round and plays the clone on the branch where the
-    coalition concedes that round.
+    coalition concedes that round. The clone's `select` for that round runs
+    only when the branch is played, after the original has played on; by
+    this contract it is the same play.
 
     A strategy that plays a sub-game is given the sub-game's universe, the
     items remaining when it starts; every item it later sees remaining lies
@@ -116,14 +118,21 @@ def _copy(obj):
 
 def _first(ranking: Sequence[int], remaining: Sequence[int], count: int = 1) -> tuple[int, ...]:
     """The first `count` items of `ranking` still in `remaining`."""
-    left = set(remaining)
     found = []
     for j in ranking:
-        if j in left:
+        if j in remaining:
             found.append(j)
             if len(found) == count:
                 break
     return tuple(found)
+
+
+def _target(z) -> Rat:
+    """A strategy's target as a Rat. Plain ints are promoted; floats, bools
+    and strings are refused, as `check_entitlement` refuses them."""
+    if isinstance(z, bool) or not isinstance(z, (int, Rat)):
+        raise InputError(f"target: expected an int or a Fraction, got {z!r}")
+    return Rat(z)
 
 
 @dataclass(frozen=True)
@@ -356,16 +365,19 @@ def run_game(
     return game.transcript()
 
 
-def replay_transcript(inst: Instance, transcript: GameTranscript) -> Allocation:
+def replay_transcript(inst: Instance, transcript: GameTranscript, at: str = "transcript") -> Allocation:
     """Re-run a transcript, checking every round for mechanical legality.
 
     Raises InputError on the first violation: a bid above budget, a winner
     who was not a highest bidder, an illegal selection, or a payment that
-    does not equal bid times items taken. Returns the verified allocation.
+    does not equal bid times items taken. A round's fault is named from the
+    field path `at` the transcript was read at, as
+    `GameTranscript.from_json_dict` names its type faults. Returns the
+    verified allocation.
     """
     game = _Game(inst.entitlements, inst.valuations)
     for t, r in enumerate(transcript.rounds):
-        where = f"transcript.rounds[{t}]"
+        where = f"{at}.rounds[{t}]" if at else f"rounds[{t}]"
         if len(r.bids) != inst.n:
             raise InputError(f"{where}: expected {inst.n} bids, got {len(r.bids)}")
         for i, bid in enumerate(r.bids):
@@ -540,9 +552,10 @@ class _Lemma34Strategy(_BidMaxValue):
     def __init__(self, valuation, b, z, scale=Rat(1), universe=None) -> None:
         if z is None:
             raise InputError("strategies: lemma34 needs an explicit target, e.g. 0=lemma34:5")
+        z = _target(z)
         super().__init__(valuation, z, scale, universe)
         # Twice the 3z/2 target, so that the target tests stay in integers.
-        self.twice_target = 3 * Rat(z).numerator
+        self.twice_target = 3 * z.numerator
         self.b0 = Rat(b)
         self.stage = 1
         self.prev_full_bid = False
@@ -601,10 +614,10 @@ class _Aps35Strategy(_RescueBidder):
         self.delegate: Strategy | None = None
 
     def _aim(self, z) -> None:
-        self.z = Rat(z)
+        self.z = z = _target(z)
         # Values are integers, so a value reaches 3z/5 exactly when it reaches
         # its ceiling; that ceiling is <= 0 exactly when z <= 0.
-        self.target = math.ceil(Rat(3, 5) * self.z)
+        self.target = -(-3 * z.numerator // (5 * z.denominator))
 
     def aimed(self, z) -> "_Aps35Strategy":
         """This unplayed bidder's copy at target z, as a fresh build at z
@@ -722,11 +735,16 @@ def worst_case_line(
     if not patterns:
         raise InputError("patterns: expected at least one concession pattern")
     for wins in patterns:
-        if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in wins):
-            raise InputError(f"wins: expected 1-based round indices, got {wins!r}")
-    lines = {wins: game for pats, game in _sweep(_duel(valuation, b), strategy, patterns) for wins in pats}
-    worst = min(patterns, key=lambda wins: valuation.value(lines[wins].bundles[0]))
-    return worst, lines[worst].transcript(), sum(not lines[wins].infeasible for wins in patterns)
+        for k in wins:
+            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+                raise InputError(f"wins: expected 1-based round indices, got {wins!r}")
+    # Each line is scored, and its feasibility counted, once for all its patterns.
+    sweep = _sweep(_duel(valuation, b), strategy, patterns)
+    lines = [(valuation.value(game.bundles[0]), pats, game) for pats, game in sweep]
+    low = min(score for score, _, _ in lines)
+    lowest = {wins: game for score, pats, game in lines if score == low for wins in pats}
+    worst = next(wins for wins in patterns if wins in lowest)
+    return worst, lowest[worst].transcript(), sum(len(pats) for _, pats, game in lines if not game.infeasible)
 
 
 def _sweep(
@@ -740,23 +758,27 @@ def _sweep(
     The agent bids once per round of a line. Where some of the line's
     patterns concede a positively bid round and others do not, a copy of the
     game and a clone of the strategy play on as the branch of those that
-    concede. A round bid at 0 never splits a line, since conceding it settles
-    the same round as outbidding. A line also stops at a round where
-    `decided(game)`.
+    concede. The branch carries its conceded bid and settles that round,
+    running the clone's `select`, only when it is played, so a reader that
+    stops early pays one fork and one clone for each branch it never plays;
+    by the clone contract the deferred round is the same play. A round bid
+    at 0 never splits a line, since conceding it settles the same round as
+    outbidding. A line also stops at a round where `decided(game)`.
     """
-    lines = [(game, strategy, list(patterns))]
+    lines = [(game, strategy, list(patterns), None)]
     while lines:
-        game, strat, pats = lines.pop()
+        game, strat, pats, conceded = lines.pop()
+        if conceded is not None:
+            _coalition_round(game, strat, conceded, True)
         while game.remaining and not (decided is not None and decided(game)):
             bid = game.bid(0, strat)
             r = game.round_no
-            rest = [p for p in pats if r not in p] if bid else pats
-            if rest and len(rest) < len(pats):
-                twin, twin_strat = game.fork(), strat.clone()
-                _coalition_round(twin, twin_strat, bid, True)
-                lines.append((twin, twin_strat, [p for p in pats if r in p]))
-                pats = rest
-            _coalition_round(game, strat, bid, not rest)
+            conceding = [p for p in pats if r in p] if bid else []
+            every = len(conceding) == len(pats)
+            if conceding and not every:
+                lines.append((game.fork(), strat.clone(), conceding, bid))
+                pats = [p for p in pats if r not in p]
+            _coalition_round(game, strat, bid, every)
         yield pats, game
 
 
@@ -772,29 +794,32 @@ def _z_test(valuation: Valuation, b: Rat):
     def good(z: int) -> bool:
         if z <= 0:
             return True
-
-        def short(got: int) -> bool:
-            return 5 * got < 3 * z
+        # A value x falls short of 3z/5 when 5x < aim.
+        aim = 3 * z
 
         def decided(game: _Game) -> bool:
-            got = value(game.bundles[0])
-            return not short(got) or short(got + value(game.remaining))
+            got = 5 * value(game.bundles[0])
+            return got >= aim or got + 5 * value(game.remaining) < aim
 
         lines = _sweep(duel.fork(), bidder.aimed(z), patterns, decided)
-        return not any(short(value(game.bundles[0])) for _, game in lines)
+        return not any(5 * value(game.bundles[0]) < aim for _, game in lines)
 
     return good
 
 
-def test_z_good(valuation: Valuation, b: Rat, z: int) -> bool:
+def test_z_good(valuation: Valuation, b: Rat, z: int | Rat) -> bool:
     """True when the three-step strategy at target z secures 3z/5 against
     every concession pattern, including the lines where the coalition goes
     broke and concedes the remaining rounds by force. A line stops once its
     bundle is worth 3z/5 or, with every remaining item added, still less;
     the bundle only grows and later forks share it, so both are final. The
-    test stops at the first line that falls short. This is the one-z case of
-    the test `best_good_z` builds once for its whole search."""
-    return z <= 0 or _z_test(valuation, b)(z)
+    test stops at the first line that falls short, most often the line of no
+    concessions, which is played first; the branches forked on the way are
+    never settled, since a branch settles its conceded round, and its
+    clone's `select` runs, only when it is played. z is an int or a Fraction.
+    This is the one-z case of the test `best_good_z` builds once for its
+    whole search."""
+    return _target(z) <= 0 or _z_test(valuation, b)(z)
 
 
 def best_good_z(valuation: Valuation, b: Rat) -> int:
@@ -844,9 +869,9 @@ def meta_strategy(valuation: Valuation, b: Rat) -> Strategy:
 
 
 # Every strategy by name, as a function (valuation, b, z) -> Strategy. Only the
-# `TARGETED` ones read z, a target or None where they find their own. Each
-# builds its class directly, and looks `meta_strategy` and `best_good_z` up
-# when called, so a rebound one is used.
+# `TARGETED` ones read z: an int or a Fraction, or None where they find their
+# own. Each builds its class directly, and looks `meta_strategy` and
+# `best_good_z` up when called, so a rebound one is used.
 STRATEGIES = {
     "meta": lambda v, b, z: meta_strategy(v, b),
     "tps": lambda v, b, z: _TpsStrategy(v),

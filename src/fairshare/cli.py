@@ -269,8 +269,11 @@ def cmd_game(inst: Instance, args) -> tuple[dict, str | None]:
             if getattr(args, option) is not None:
                 raise InputError(f"--{option.replace('_', '-')}: not used with --replay")
         doc = _json_doc(_read(args.replay), "transcript")
-        transcript = _json_unwrap(doc, "transcript", GameTranscript.from_json_dict, bare="")
-        alloc = replay_transcript(inst, transcript)
+        # The rounds are checked at the field path they were read at.
+        def replay(value, at: str) -> Allocation:
+            return replay_transcript(inst, GameTranscript.from_json_dict(value, at), at)
+
+        alloc = _json_unwrap(doc, "transcript", replay, bare="")
         return {"replay": "ok", "allocation": [list(b) for b in alloc.bundles]}, None
     tie_break = _parse_tie_break("lowest" if args.tie_break is None else args.tie_break, inst.n)
     specs = _parse_strategy_specs(args.strategies, inst.n)

@@ -208,8 +208,7 @@ class Valuation:
         return sum(self.item_values)
 
     def value(self, items: Iterable[int]) -> int:
-        vals = self.item_values
-        return sum(vals[j] for j in items)
+        return sum(map(self.item_values.__getitem__, items))
 
     def ranked_items(self) -> list[int]:
         """Item indices sorted by value descending, ties by index ascending."""

@@ -28,7 +28,7 @@ from fairshare import (
     worst_case_line,
 )
 from fairshare import test_z_good as z_goodness
-from fairshare.bidding import STRATEGIES, Strategy, _Aps35Strategy, _Game, _RankItemStrategy, _TpsStrategy
+from fairshare.bidding import STRATEGIES, TARGETED, Strategy, _Aps35Strategy, _Game, _RankItemStrategy, _TpsStrategy
 from fairshare.core import rat_to_str
 from fairshare.oracle import game_tree_oracle
 from fairshare.shares import aps_exact
@@ -921,6 +921,54 @@ def test_best_good_z_builds_one_duel_and_one_bidder(monkeypatch):
     z = best_good_z(v, b)
     assert counts == {"game": 1, "bidder": 1, "ranking": 2}
     assert z == max(x for x in range(v.total + 1) if z_goodness(v, b, x))
+
+
+@pytest.mark.parametrize(
+    "v, z, expected",
+    [
+        (base_valuation(), 3, {"settle": 16, "select": 8, "clone": 10}),
+        (Valuation((5, 4, 4, 3, 1, 1)), 8, {"settle": 25, "select": 14, "clone": 15}),
+    ],
+)
+def test_best_good_z_work_counts(monkeypatch, v, z, expected):
+    # A z-test stops at its first short line, which is most often the line
+    # of no concessions, the first one played. A branch forked on the way
+    # settles its conceded round, and runs its clone's `select`, only when
+    # it is played, so each branch a z-test never plays costs one fork and
+    # one clone. Settling each branch at its fork gives 20 settles and 12
+    # selects on the first row, 30 and 19 on the second. `_Game.select` is
+    # where the engine runs a strategy's `select`.
+    counts = {"settle": 0, "select": 0, "clone": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(_Game, "settle", counting("settle", _Game.settle))
+    monkeypatch.setattr(_Game, "select", counting("select", _Game.select))
+    monkeypatch.setattr(Strategy, "clone", counting("clone", Strategy.clone))
+    assert best_good_z(v, Rat(2, 5)) == z
+    assert counts == expected
+
+
+@pytest.mark.parametrize("target", [2.5, 0.4, True, False, "3"])
+def test_targets_must_be_exact(target):
+    # A target is an int or a Fraction, as an entitlement is; a float would
+    # be read through its binary expansion and a bool as 0 or 1.
+    v, b = base_valuation(), Rat(2, 5)
+    builders = [lambda: z_goodness(v, b, target)]
+    builders += [lambda name=name: STRATEGIES[name](v, b, target) for name in TARGETED]
+    for build in builders:
+        with pytest.raises(InputError) as exc:
+            build()
+        assert str(exc.value) == f"target: expected an int or a Fraction, got {target!r}"
+    assert z_goodness(v, b, Rat(5, 2)) and z_goodness(v, b, 2)
+    for name in TARGETED:
+        for exact in (2, Rat(5, 2)):
+            assert isinstance(STRATEGIES[name](v, b, exact), Strategy)
 
 
 def _frontier_row(seed: int, n: int, m: int) -> Valuation:

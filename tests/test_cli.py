@@ -800,6 +800,28 @@ def test_zero_item_instance_commands(tmp_path, capsys):
     assert doc["min_value"] == 0 and doc["patterns_checked"] == 1
 
 
+@pytest.mark.parametrize(
+    "field, value, fault",
+    [
+        ("winner", 5, "rounds[0].winner: agent 5 out of range"),
+        ("winner", "x", "rounds[0].winner: expected an integer, got 'x'"),
+        ("taken", [7], "rounds[0].taken: not a set of remaining items"),
+        ("payment", "7", "rounds[0].payment: 7 != 1/5"),
+    ],
+)
+def test_game_replay_names_round_faults_at_their_path(tmp_path, capsys, field, value, fault):
+    # A round's legality faults and its type faults name the field path the
+    # transcript was read at: from the root of a bare file, and under
+    # `transcript` in a `game` document.
+    units = write(tmp_path, "units.json", FIVE_UNITS)
+    code, played, _ = run_cli(capsys, ["game", units, "--strategies", "0=tps,1=tps,2=tps"])
+    assert code == 0 and played["transcript"]["rounds"][0]["payment"] == "1/5"
+    played["transcript"]["rounds"][0][field] = value
+    for doc, at in ((played["transcript"], ""), (played, "transcript.")):
+        code, out, err = run_cli(capsys, ["game", units, "--replay", write(tmp_path, "t.json", doc)])
+        assert (code, out, err) == (2, None, f"error: {at}{fault}\n")
+
+
 def test_game_replay_rejects_foreign_transcript(tmp_path, capsys):
     units = write(tmp_path, "units.json", FIVE_UNITS)
     other = write(tmp_path, "other.json", BASE_EXAMPLE)
@@ -807,7 +829,8 @@ def test_game_replay_rejects_foreign_transcript(tmp_path, capsys):
     assert code == 0
     code, _, err = run_cli(capsys, ["game", other, "--replay", write(tmp_path, "transcript.json", doc["transcript"])])
     assert code == 2
-    assert "transcript" in err
+    # A bare transcript's round faults are named from its root.
+    assert err == "error: rounds[0]: expected 2 bids, got 3\n"
 
 
 _TAMPERED = [
@@ -885,6 +908,9 @@ def test_game_worst_sweep_work_counts(tmp_path, capsys, monkeypatch):
     # 1 instead settles 69 rounds with 16 clones on the first instance. On
     # the second, meta's z search also stops each line once its outcome is
     # decided; playing those lines in full settles 112 rounds with 25 clones.
+    # A forked branch settles its conceded round only when it is played, so
+    # the branches a failing z-test forks but never plays cost a fork and a
+    # clone each, not also a settle; settling each at its fork gives 48.
     # A settled round becomes a RoundRecord only in the one transcript the
     # command reports, so the lines the z search discards build none.
     counts = {"settle": 0, "clone": 0, "record": 0}
@@ -907,7 +933,7 @@ def test_game_worst_sweep_work_counts(tmp_path, capsys, monkeypatch):
     }
     cases = [
         (write(tmp_path, "base.json", BASE_EXAMPLE), "0=aps35:2", {"settle": 14, "clone": 3, "record": 4}),
-        (write(tmp_path, "six.json", six), "0=meta", {"settle": 48, "clone": 18, "record": 6}),
+        (write(tmp_path, "six.json", six), "0=meta", {"settle": 43, "clone": 18, "record": 6}),
     ]
     for path, spec, expected in cases:
         counts.update(settle=0, clone=0, record=0)
